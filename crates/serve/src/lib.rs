@@ -27,9 +27,10 @@
 //!   threads drives every non-blocking connection (per-connection
 //!   [`wire::FrameBuffer`] reassembly, bounded outbox backpressure,
 //!   an in-band connection-cap rejection frame, idle timeouts,
-//!   draining shutdown) and shares one session across all
-//!   connections; [`Client`]: a pipelined client with buffered
-//!   (explicitly flushed) submission, connect/read deadlines
+//!   draining shutdown), sleeping in `poll(2)` between sweeps until
+//!   a socket or its [`Doorbell`] needs it, and shares one session
+//!   across all connections; [`Client`]: a pipelined client with
+//!   buffered (explicitly flushed) submission, connect/read deadlines
 //!   ([`ClientConfig`]), and batch calls ([`Client::nn_batch`] /
 //!   [`Client::knn_batch`]) whose submissions return the same
 //!   [`Ticket`] type the in-process session hands out.
@@ -78,12 +79,16 @@
 //! each lowers build cost and tail latency, fewer shards with more
 //! pivots minimises total distance computations.
 
-// No unsafe here, enforced at compile time (and by cned-lint).
-#![forbid(unsafe_code)]
+// The one `unsafe` block is the `poll(2)` call in `poll.rs`, which
+// opts out with `#[allow(unsafe_code)]`; everything else stays safe,
+// enforced at compile time (and audited by cned-lint).
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod client;
 pub mod ordered;
 pub mod pipeline;
+mod poll;
 pub mod server;
 pub mod session;
 pub mod sharded;
@@ -92,6 +97,7 @@ pub mod wire;
 pub use client::{BatchTicket, Client, ClientConfig, ClientError};
 pub use ordered::{OrderedGuard, OrderedMutex};
 pub use pipeline::QueryPipeline;
+pub use poll::Doorbell;
 pub use server::{ReplOp, ReplicaHub, Server, ServerConfig};
 pub use session::{
     Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, SessionHandle, Ticket,

@@ -89,7 +89,7 @@ impl<S: Symbol, I: MetricIndex<S>> QueryPipeline<S, I> {
                 .iter()
                 .map(|request| {
                     shared
-                        .submit(usize::MAX, request.clone())
+                        .submit(usize::MAX, request.clone(), None)
                         .expect("unbounded scoped session accepts every request")
                 })
                 .collect();

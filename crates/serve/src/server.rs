@@ -1,20 +1,42 @@
-//! [`Server`] — a readiness-based event-loop TCP front-end over one
-//! shared [`ServeSession`].
+//! [`Server`] — an event-loop TCP front-end over one shared
+//! [`ServeSession`].
 //!
-//! The PR 5 server spent **two OS threads per connection** (reader +
-//! writer), which caps concurrent connections far below the serving
-//! goal. This server runs a **fixed pool** of event-loop threads
-//! ([`ServerConfig::event_loop_threads`], plus one accept thread and
-//! the session's scheduler), each driving many non-blocking
-//! `std::net` sockets with a hand-rolled readiness sweep: every tick
-//! it reads whatever bytes each socket has (partial frames pend in a
-//! per-connection [`FrameBuffer`]), polls in-flight tickets, and
-//! pushes completed responses through a per-connection outbox with
-//! **one buffered write per sweep** — pipelined responses coalesce
-//! into a single `write(2)` instead of one flushed syscall per frame.
-//! There is no tokio/epoll in the offline build environment; a
-//! non-blocking `read` *is* the readiness probe, and the loop sleeps
-//! briefly only when a whole sweep moved no bytes.
+//! A thread-per-connection server would spend **two OS threads per
+//! connection** (reader + writer), which caps concurrent connections
+//! far below the serving goal. This server runs a **fixed pool** of
+//! event-loop threads ([`ServerConfig::event_loop_threads`], plus one
+//! accept thread and the session's scheduler), each driving many
+//! non-blocking `std::net` sockets in sweeps: a sweep reads the bytes
+//! of every socket the last wait reported readable (partial frames
+//! pend in a per-connection [`FrameBuffer`]), polls in-flight
+//! tickets, and pushes completed responses through a per-connection
+//! outbox with **one buffered write per sweep** — pipelined responses
+//! coalesce into a single `write(2)` instead of one flushed syscall
+//! per frame.
+//!
+//! ## Waiting
+//!
+//! Between sweeps the loop waits in `poll(2)` (there is no tokio/mio
+//! in the offline build; the crate's `poll` module is a one-call FFI
+//! wrapper). It watches every socket it may read (POLLIN) or still
+//! owes bytes (POLLOUT), plus the loop's own [`Doorbell`] for the work
+//! no socket announces:
+//!
+//! * the session rings it when it answers (or drops) a ticket the loop
+//!   submitted;
+//! * the accept thread rings it after routing a new connection;
+//! * a [`ReplicaHub`] rings it after publishing a write to a replica
+//!   subscription the loop holds;
+//! * [`Server::shutdown`] rings it to start the drain.
+//!
+//! After a sweep that moved something the wait has a zero timeout and
+//! only refreshes which sockets are ready. After a sweep that moved
+//! nothing it sleeps until a socket or the bell needs the loop, or
+//! until the earliest idle-reap deadline: an idle server uses no CPU,
+//! and a request is picked up as soon as its bytes or its answer
+//! exist. The accept thread likewise waits on the listener plus a stop
+//! bell. On non-unix targets a wait is a 500 µs sleep instead, after
+//! which every socket counts as ready, and the bells do nothing.
 //!
 //! Every connection speaks the [`crate::wire`] protocol. All
 //! connections submit into a **single** session, so the whole server
@@ -68,6 +90,7 @@
 //! is handed back. Bytes a client had written but the server had not
 //! yet read are not "accepted" — exactly the PR 5 boundary.
 
+use crate::poll::{Doorbell, PollSet};
 use crate::session::{
     Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, Ticket,
 };
@@ -98,7 +121,9 @@ use std::time::{Duration, Instant};
 /// two rules make the handoff gap-free: a write committed around
 /// registration time appears in the payload, in the stream, or in
 /// both — never in neither — and replicas dedupe the overlap (by
-/// sequence number for inserts; deletes are idempotent).
+/// sequence number for inserts; deletes are idempotent). After
+/// queueing an op, implementations ring the subscriber's bell, or the
+/// op waits for the loop's next unrelated wake.
 pub trait ReplicaHub<S: WireSymbol>: Send + Sync {
     /// The catch-up payload for a replica that already holds `have`
     /// items, as `(mode, bytes)` chunks ([`wire::SYNC_SNAPSHOT`] /
@@ -106,8 +131,9 @@ pub trait ReplicaHub<S: WireSymbol>: Send + Sync {
     fn sync_payload(&self, have: u64) -> Result<Vec<(u8, Vec<u8>)>, SearchError>;
 
     /// Register a live-stream subscriber; every subsequently accepted
-    /// insert or delete arrives as one [`ReplOp`].
-    fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>>;
+    /// insert or delete arrives as one [`ReplOp`], and `bell` rings
+    /// after each one is queued.
+    fn subscribe(&self, bell: Doorbell) -> mpsc::Receiver<ReplOp<S>>;
 }
 
 /// One accepted write streamed from a primary's [`ReplicaHub`] to its
@@ -244,7 +270,11 @@ pub struct Server<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> {
     /// move the last strong reference out past the `Drop` impl.
     session: Option<Arc<ServeSession<S, I>>>,
     stop: Arc<AtomicBool>,
+    /// Wakes the accept thread out of its wait on the listener.
+    accept_bell: Doorbell,
     accept_thread: Option<JoinHandle<()>>,
+    /// One per event loop, in `loop_threads` order.
+    loop_bells: Vec<Doorbell>,
     loop_threads: Vec<JoinHandle<()>>,
 }
 
@@ -284,8 +314,8 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
     ) -> std::io::Result<Server<S, I>> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Polling accept: lets the accept thread observe the stop flag
-        // without a self-connect trick.
+        // Non-blocking accept: the accept thread waits for readiness
+        // itself, alongside its stop bell.
         listener.set_nonblocking(true)?;
         let session = Arc::new(ServeSession::spawn_with(index, dist, config.session));
         let stop = Arc::new(AtomicBool::new(false));
@@ -293,10 +323,13 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
 
         let pool = config.event_loop_threads.max(1);
         let mut senders: Vec<mpsc::Sender<TcpStream>> = Vec::with_capacity(pool);
+        let mut loop_bells: Vec<Doorbell> = Vec::with_capacity(pool);
         let mut loop_threads: Vec<JoinHandle<()>> = Vec::with_capacity(pool);
         for i in 0..pool {
             let (tx, rx) = mpsc::channel::<TcpStream>();
             senders.push(tx);
+            let bell = Doorbell::new()?;
+            loop_bells.push(bell.clone());
             let session = Arc::clone(&session);
             let stop = Arc::clone(&stop);
             let conn_count = Arc::clone(&conn_count);
@@ -305,17 +338,21 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
             loop_threads.push(
                 std::thread::Builder::new()
                     .name(format!("cned-serve-loop-{i}"))
-                    .spawn(move || event_loop(rx, &session, &stop, &conn_count, config, hub))
+                    .spawn(move || event_loop(rx, &session, &stop, &conn_count, config, hub, bell))
                     .expect("spawning an event-loop thread"),
             );
         }
 
+        let accept_bell = Doorbell::new()?;
         let accept_thread = {
             let stop = Arc::clone(&stop);
+            let stop_bell = accept_bell.clone();
+            let routes: Vec<_> = senders.into_iter().zip(loop_bells.clone()).collect();
             let max_connections = config.max_connections.max(1);
             std::thread::Builder::new()
                 .name("cned-serve-accept".into())
                 .spawn(move || {
+                    let mut polls = PollSet::new();
                     let mut next = 0usize;
                     while !stop.load(Ordering::Acquire) {
                         match listener.accept() {
@@ -332,16 +369,26 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
                                 }
                                 // Round-robin across the pool; a loop
                                 // only disappears at shutdown.
-                                if senders[next % senders.len()].send(stream).is_err() {
+                                let (sender, bell) = &routes[next % routes.len()];
+                                if sender.send(stream).is_err() {
                                     break;
                                 }
+                                bell.ring();
                                 next += 1;
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
+                                // The stop bell is never cleared: once
+                                // rung, the next check exits.
+                                polls.clear();
+                                polls.push(&listener, true, false);
+                                polls.push_bell(&stop_bell);
+                                let _ = polls.wait(None);
                             }
                             // Transient accept errors (aborted
-                            // handshakes) should not kill the server.
+                            // handshakes, EMFILE) should not kill the
+                            // server. Back off instead of waiting: a
+                            // listener out of file descriptors stays
+                            // readable, so a wait would spin.
                             Err(_) => std::thread::sleep(Duration::from_millis(2)),
                         }
                     }
@@ -353,7 +400,9 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
             addr,
             session: Some(session),
             stop,
+            accept_bell,
             accept_thread: Some(accept_thread),
+            loop_bells,
             loop_threads,
         })
     }
@@ -383,8 +432,12 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
 
     fn stop_threads(&mut self) {
         self.stop.store(true, Ordering::Release);
+        self.accept_bell.ring();
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
+        }
+        for bell in &self.loop_bells {
+            bell.ring();
         }
         for handle in self.loop_threads.drain(..) {
             let _ = handle.join();
@@ -512,6 +565,12 @@ struct Conn<S: WireSymbol> {
     dead: bool,
     /// `Some` once the peer registered as a replica.
     repl: Option<ReplState<S>>,
+    /// Whether a read may find bytes: cleared once the socket has been
+    /// drained, set again when a wait reports it readable, so a sweep
+    /// spends no syscall on a quiet socket.
+    readable: bool,
+    /// This connection's slot in the loop's poll set, if watched.
+    slot: Option<usize>,
 }
 
 impl<S: WireSymbol> Conn<S> {
@@ -526,6 +585,8 @@ impl<S: WireSymbol> Conn<S> {
             reading: true,
             dead: false,
             repl: None,
+            readable: true,
+            slot: None,
         }
     }
 
@@ -538,6 +599,7 @@ impl<S: WireSymbol> Conn<S> {
         id: RequestId,
         have: u64,
         hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        bell: &Doorbell,
         payload: &mut Vec<u8>,
     ) {
         let Some(hub) = hub else {
@@ -551,7 +613,7 @@ impl<S: WireSymbol> Conn<S> {
             });
             return;
         };
-        let rx = hub.subscribe();
+        let rx = hub.subscribe(bell.clone());
         match hub.sync_payload(have) {
             Ok(chunks) => {
                 let last = chunks.len().saturating_sub(1);
@@ -619,6 +681,7 @@ impl<S: WireSymbol> Conn<S> {
         session: &ServeSession<S, I>,
         config: &ServerConfig,
         hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        bell: &Doorbell,
         payload: &mut Vec<u8>,
     ) -> bool {
         while self.inflight.len() < config.outbox_depth {
@@ -632,7 +695,7 @@ impl<S: WireSymbol> Conn<S> {
                             });
                             continue;
                         }
-                        let slot = match session.submit(request) {
+                        let slot = match session.submit_ringing(request, bell) {
                             Ok(ticket) => SlotState::Waiting(ticket),
                             // Admission failures are *responses*, not
                             // disconnects — unchanged from PR 5.
@@ -650,7 +713,7 @@ impl<S: WireSymbol> Conn<S> {
                             });
                             continue;
                         }
-                        match session.submit_batch(requests) {
+                        match session.submit_batch_ringing(requests, bell) {
                             Ok(tickets) => self.inflight.push_back(Pending::Batch {
                                 id,
                                 slots: tickets.into_iter().map(SlotState::Waiting).collect(),
@@ -664,7 +727,7 @@ impl<S: WireSymbol> Conn<S> {
                         }
                     }
                     Ok((id, WireRequest::Sync { have })) => {
-                        self.register_replica(id, have, hub, payload);
+                        self.register_replica(id, have, hub, bell, payload);
                     }
                     Err(_) => return false,
                 },
@@ -684,6 +747,7 @@ impl<S: WireSymbol> Conn<S> {
         session: &ServeSession<S, I>,
         config: &ServerConfig,
         hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        bell: &Doorbell,
         payload: &mut Vec<u8>,
     ) -> bool {
         if !self.reading || self.dead {
@@ -693,12 +757,15 @@ impl<S: WireSymbol> Conn<S> {
         loop {
             // Frames may already be buffered from a sweep that hit the
             // backpressure bound; submit them before reading more.
-            if !self.drain_frames(session, config, hub, payload) {
+            if !self.drain_frames(session, config, hub, bell, payload) {
                 self.reading = false; // untrusted stream
                 break;
             }
             if self.inflight.len() >= config.outbox_depth {
                 break; // backpressure: let TCP flow control push back
+            }
+            if !self.readable {
+                break; // drained; the next wait says when bytes arrive
             }
             match self.stream.read(chunk) {
                 Ok(0) => {
@@ -709,8 +776,13 @@ impl<S: WireSymbol> Conn<S> {
                     moved = true;
                     self.last_activity = Instant::now();
                     self.frames.extend(&chunk[..n]);
+                    // A short read emptied the socket.
+                    self.readable = n == chunk.len();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.readable = false;
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.reading = false;
@@ -805,25 +877,53 @@ impl<S: WireSymbol> Conn<S> {
 
     /// End-of-sweep lifecycle: mark drained/timed-out connections for
     /// removal.
-    fn reap_check(&mut self, config: &ServerConfig, stopping: bool) {
+    fn reap_check(&mut self, config: &ServerConfig) {
         if self.dead {
             return;
         }
-        let drained = self.inflight.is_empty() && self.sent == self.outbox.len();
         if !self.reading {
             // EOF/protocol error/shutdown: close once everything
             // accepted has been answered and written.
-            self.dead = drained;
-        } else if !stopping
-            && drained
-            && self.repl.is_none()
-            && self.last_activity.elapsed() >= config.idle_timeout
+            self.dead = self.drained();
+        } else if self
+            .idle_deadline(config)
+            .is_some_and(|deadline| Instant::now() >= deadline)
         {
-            // Idle: nothing owed in either direction. Registered
-            // replicas are exempt — a quiet insert stream is not an
-            // abandoned socket.
             self.dead = true;
         }
+    }
+
+    /// Nothing owed in either direction.
+    fn drained(&self) -> bool {
+        self.inflight.is_empty() && self.sent == self.outbox.len()
+    }
+
+    /// When a reading, drained connection is reaped as idle (`None`:
+    /// not reapable now — nor ever in a stopping loop, which clears
+    /// `reading`). Registered replicas are exempt — a quiet insert
+    /// stream is not an abandoned socket.
+    fn idle_deadline(&self, config: &ServerConfig) -> Option<Instant> {
+        if self.dead || !self.reading || self.repl.is_some() || !self.drained() {
+            return None;
+        }
+        self.last_activity.checked_add(config.idle_timeout)
+    }
+
+    /// Register what this connection waits for with `polls`: its
+    /// bytes while it may read (not past the backpressure bound), and
+    /// writability while its outbox holds unsent bytes. A connection
+    /// that wants neither stays out of the set; its tickets ring the
+    /// loop's bell instead.
+    fn watch(&mut self, polls: &mut PollSet, config: &ServerConfig) {
+        let read = self.reading && !self.dead && self.inflight.len() < config.outbox_depth;
+        let write = !self.dead && self.sent < self.outbox.len();
+        self.slot = (read || write).then(|| polls.push(&self.stream, read, write));
+    }
+
+    /// Take in what the last wait reported for this connection
+    /// (`failed`: the wait did not happen, so try reading anyway).
+    fn mark_ready(&mut self, polls: &PollSet, failed: bool) {
+        self.readable |= failed || self.slot.is_some_and(|slot| polls.readable(slot));
     }
 }
 
@@ -843,7 +943,8 @@ fn read_only_rejection() -> ResponseBody {
 }
 
 /// One event-loop thread: drives every connection the accept thread
-/// routed to it with read → resolve → write sweeps until shutdown.
+/// routed to it with read → resolve → write sweeps until shutdown,
+/// waiting on its sockets and `bell` whenever a sweep moves nothing.
 fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
     rx: mpsc::Receiver<TcpStream>,
     session: &ServeSession<S, I>,
@@ -851,10 +952,12 @@ fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
     conn_count: &AtomicUsize,
     config: ServerConfig,
     hub: Option<Arc<dyn ReplicaHub<S>>>,
+    bell: Doorbell,
 ) {
     let mut conns: Vec<Conn<S>> = Vec::new();
     let mut chunk = vec![0u8; 16 * 1024];
     let mut payload: Vec<u8> = Vec::new();
+    let mut polls = PollSet::new();
     loop {
         let stopping = stop.load(Ordering::Acquire);
         let mut active = false;
@@ -874,13 +977,20 @@ fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
             if stopping {
                 conn.reading = false; // drain, then close
             }
-            active |= conn.read_sweep(&mut chunk, session, &config, hub.as_ref(), &mut payload);
+            active |= conn.read_sweep(
+                &mut chunk,
+                session,
+                &config,
+                hub.as_ref(),
+                &bell,
+                &mut payload,
+            );
             active |= conn.resolve_sweep(&mut payload);
             if !stopping {
                 active |= conn.repl_sweep(&mut payload);
             }
             active |= conn.write_sweep();
-            conn.reap_check(&config, stopping);
+            conn.reap_check(&config);
         }
 
         let before = conns.len();
@@ -901,11 +1011,30 @@ fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
         if stopping && conns.is_empty() {
             return;
         }
-        if !active {
-            // Nothing moved anywhere this sweep: yield briefly. The
-            // sleep bounds idle CPU; actual traffic is swept at full
-            // speed because any progress skips it.
-            std::thread::sleep(Duration::from_micros(500));
+        // After a sweep that moved something, a zero-timeout wait only
+        // refreshes readiness; after one that moved nothing, sleep
+        // until a socket, the bell or the earliest idle deadline needs
+        // the loop.
+        let timeout = if active {
+            Some(Duration::ZERO)
+        } else {
+            let deadline = conns.iter().filter_map(|c| c.idle_deadline(&config)).min();
+            deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        };
+        polls.clear();
+        let bell_slot = polls.push_bell(&bell);
+        for conn in conns.iter_mut() {
+            conn.watch(&mut polls, &config);
+        }
+        let failed = polls.wait(timeout).is_err();
+        // Re-arm the bell only after a wait that could sleep: while
+        // sweeps stay busy its byte stays put, so a ring costs one
+        // atomic swap and no syscall.
+        if !active && (failed || polls.readable(bell_slot)) {
+            bell.clear();
+        }
+        for conn in conns.iter_mut() {
+            conn.mark_ready(&polls, failed);
         }
     }
 }

@@ -41,12 +41,13 @@
 //! correlate by identity, never by queue position.
 
 use crate::ordered::{rank, OrderedMutex};
+use crate::poll::Doorbell;
 use crate::sharded::ShardedIndex;
 use cned_core::metric::Distance;
 use cned_core::Symbol;
 use cned_search::{workers_for, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar};
 use std::thread::JoinHandle;
 
@@ -272,8 +273,59 @@ impl Ticket {
     }
 }
 
-/// One queued request: id, payload, and the ticket's delivery channel.
-type Slot<S> = (RequestId, Request<S>, mpsc::Sender<Response>);
+/// One queued request: id, payload, and the ticket's delivery end.
+type Slot<S> = (RequestId, Request<S>, Reply);
+
+/// The delivery end of a [`Ticket`]. It carries the [`Doorbell`] of
+/// the event loop that submitted the request, if any, and rings it
+/// once the response is sent, or once the reply is dropped unsent
+/// (the ticket then yields its `Failed { Shutdown }` fallback), so a
+/// loop never sleeps through the resolution of a ticket it holds.
+pub(crate) struct Reply {
+    tx: mpsc::Sender<Response>,
+    /// Declared after `tx`: fields drop in order, so an unsent reply
+    /// disconnects its ticket before the bell rings.
+    wake: Wake,
+}
+
+/// The ringing half of a [`Reply`]. `sent` is atomic because parallel
+/// workers deliver through shared references to one chunk of slots.
+struct Wake {
+    bell: Option<Doorbell>,
+    sent: AtomicBool,
+}
+
+impl Reply {
+    pub(crate) fn new(tx: mpsc::Sender<Response>, bell: Option<&Doorbell>) -> Reply {
+        Reply {
+            tx,
+            wake: Wake {
+                bell: bell.cloned(),
+                sent: AtomicBool::new(false),
+            },
+        }
+    }
+
+    /// Deliver `response` (a dropped ticket just discards it), then
+    /// ring.
+    fn send(&self, response: Response) {
+        let _ = self.tx.send(response);
+        self.wake.sent.store(true, Ordering::Relaxed);
+        if let Some(bell) = &self.wake.bell {
+            bell.ring();
+        }
+    }
+}
+
+impl Drop for Wake {
+    fn drop(&mut self) {
+        if !*self.sent.get_mut() {
+            if let Some(bell) = &self.bell {
+                bell.ring();
+            }
+        }
+    }
+}
 
 struct SessionState<S: Symbol> {
     queue: VecDeque<Slot<S>>,
@@ -309,8 +361,14 @@ impl<S: Symbol> SessionShared<S> {
     }
 
     /// Enqueue `request` if the queue holds fewer than `depth`
-    /// entries, handing back the ticket for its response.
-    pub(crate) fn submit(&self, depth: usize, request: Request<S>) -> Result<Ticket, SearchError> {
+    /// entries, handing back the ticket for its response; `bell` is
+    /// rung when the ticket resolves.
+    pub(crate) fn submit(
+        &self,
+        depth: usize,
+        request: Request<S>,
+        bell: Option<&Doorbell>,
+    ) -> Result<Ticket, SearchError> {
         let mut state = self.state.lock();
         if state.draining {
             return Err(SearchError::Shutdown);
@@ -321,7 +379,7 @@ impl<S: Symbol> SessionShared<S> {
         let id = RequestId(state.next_id);
         state.next_id += 1;
         let (tx, rx) = mpsc::channel();
-        state.queue.push_back((id, request, tx));
+        state.queue.push_back((id, request, Reply::new(tx, bell)));
         self.work.notify_all();
         Ok(Ticket::new(id, rx))
     }
@@ -337,6 +395,7 @@ impl<S: Symbol> SessionShared<S> {
         &self,
         depth: usize,
         requests: Vec<Request<S>>,
+        bell: Option<&Doorbell>,
     ) -> Result<Vec<Ticket>, SearchError> {
         let mut state = self.state.lock();
         if state.draining {
@@ -351,7 +410,7 @@ impl<S: Symbol> SessionShared<S> {
                 let id = RequestId(state.next_id);
                 state.next_id += 1;
                 let (tx, rx) = mpsc::channel();
-                state.queue.push_back((id, request, tx));
+                state.queue.push_back((id, request, Reply::new(tx, bell)));
                 Ticket::new(id, rx)
             })
             .collect();
@@ -487,7 +546,7 @@ pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
             }
         };
         match chunk {
-            Chunk::Barrier((id, request, tx)) => {
+            Chunk::Barrier((id, request, reply)) => {
                 let body = match request {
                     Request::Insert { item } => match index.as_insertable() {
                         // A durable index reports a failed WAL commit
@@ -510,16 +569,15 @@ pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
                     },
                     _ => unreachable!("Chunk::Barrier holds an insert or delete"),
                 };
-                // A dropped ticket just discards its response.
-                let _ = tx.send(Response { id, body });
+                reply.send(Response { id, body });
             }
             Chunk::Queries(batch) => {
                 let index: &I = index;
                 let workers = workers_for(batch.len());
                 if workers <= 1 {
-                    for (id, request, tx) in &batch {
+                    for (id, request, reply) in &batch {
                         let body = answer(index, request, dist);
-                        let _ = tx.send(Response { id: *id, body });
+                        reply.send(Response { id: *id, body });
                     }
                 } else {
                     // Workers pull whole queries from a shared cursor
@@ -532,11 +590,11 @@ pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
                             let batch = &batch;
                             scope.spawn(move || loop {
                                 let t = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some((id, request, tx)) = batch.get(t) else {
+                                let Some((id, request, reply)) = batch.get(t) else {
                                     break;
                                 };
                                 let body = answer(index, request, dist);
-                                let _ = tx.send(Response { id: *id, body });
+                                reply.send(Response { id: *id, body });
                             });
                         }
                     });
@@ -620,7 +678,17 @@ impl<S: Symbol + 'static, I: MetricIndex<S> + 'static> ServeSession<S, I> {
     /// [`SearchError::Shutdown`] once [`ServeSession::shutdown`] has
     /// begun.
     pub fn submit(&self, request: Request<S>) -> Result<Ticket, SearchError> {
-        self.shared.submit(self.depth, request)
+        self.shared.submit(self.depth, request, None)
+    }
+
+    /// [`ServeSession::submit`] for an event loop: `bell` rings when
+    /// the ticket resolves.
+    pub(crate) fn submit_ringing(
+        &self,
+        request: Request<S>,
+        bell: &Doorbell,
+    ) -> Result<Ticket, SearchError> {
+        self.shared.submit(self.depth, request, Some(bell))
     }
 
     /// Enqueue a whole batch of requests in one admission decision:
@@ -631,7 +699,17 @@ impl<S: Symbol + 'static, I: MetricIndex<S> + 'static> ServeSession<S, I> {
     /// the scheduler answers its queries as one parallel chunk — this
     /// is the entry point wire-level batch frames coalesce into.
     pub fn submit_batch(&self, requests: Vec<Request<S>>) -> Result<Vec<Ticket>, SearchError> {
-        self.shared.submit_batch(self.depth, requests)
+        self.shared.submit_batch(self.depth, requests, None)
+    }
+
+    /// [`ServeSession::submit_batch`] for an event loop: `bell` rings
+    /// as each ticket resolves.
+    pub(crate) fn submit_batch_ringing(
+        &self,
+        requests: Vec<Request<S>>,
+        bell: &Doorbell,
+    ) -> Result<Vec<Ticket>, SearchError> {
+        self.shared.submit_batch(self.depth, requests, Some(bell))
     }
 
     /// Requests accepted but not yet picked up by the scheduler.
@@ -689,12 +767,12 @@ impl<S: Symbol + 'static> Clone for SessionHandle<S> {
 impl<S: Symbol + 'static> SessionHandle<S> {
     /// [`ServeSession::submit`] through the handle.
     pub fn submit(&self, request: Request<S>) -> Result<Ticket, SearchError> {
-        self.shared.submit(self.depth, request)
+        self.shared.submit(self.depth, request, None)
     }
 
     /// [`ServeSession::submit_batch`] through the handle.
     pub fn submit_batch(&self, requests: Vec<Request<S>>) -> Result<Vec<Ticket>, SearchError> {
-        self.shared.submit_batch(self.depth, requests)
+        self.shared.submit_batch(self.depth, requests, None)
     }
 
     /// Requests accepted but not yet picked up by the scheduler.
@@ -711,5 +789,74 @@ impl<S: Symbol + 'static, I: MetricIndex<S> + 'static> Drop for ServeSession<S, 
             // tickets; the index is discarded with the session.
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unsent_reply_rings_its_bell_and_fails_the_ticket() {
+        let bell = Doorbell::new().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let ticket = Ticket::new(RequestId(7), rx);
+        let reply = Reply::new(tx, Some(&bell));
+        assert_eq!(ticket.try_recv(), None);
+
+        let mut polls = crate::poll::PollSet::new();
+        let slot = polls.push_bell(&bell);
+        #[cfg(unix)]
+        assert_eq!(
+            polls.wait(Some(std::time::Duration::ZERO)).unwrap(),
+            0,
+            "no ring before the reply goes"
+        );
+
+        drop(reply);
+        polls
+            .wait(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        assert!(polls.readable(slot), "dropping an unsent reply rings");
+        assert_eq!(
+            ticket.try_recv(),
+            Some(Response {
+                id: RequestId(7),
+                body: ResponseBody::Failed {
+                    error: SearchError::Shutdown
+                },
+            })
+        );
+    }
+
+    #[test]
+    fn a_sent_reply_rings_once_and_delivers() {
+        let bell = Doorbell::new().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let ticket = Ticket::new(RequestId(3), rx);
+        let reply = Reply::new(tx, Some(&bell));
+        let mut polls = crate::poll::PollSet::new();
+        let slot = polls.push_bell(&bell);
+
+        reply.send(Response {
+            id: RequestId(3),
+            body: ResponseBody::Deleted { existed: true },
+        });
+        polls
+            .wait(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        assert!(polls.readable(slot));
+        bell.clear();
+        drop(reply);
+        #[cfg(unix)]
+        assert_eq!(
+            polls.wait(Some(std::time::Duration::ZERO)).unwrap(),
+            0,
+            "a delivered reply does not ring again when dropped"
+        );
+        assert_eq!(
+            ticket.try_recv().map(|r| r.body),
+            Some(ResponseBody::Deleted { existed: true })
+        );
     }
 }

@@ -2,7 +2,9 @@
 //! bit-identity against in-process answers, the in-band connection-cap
 //! rejection frame, bounded-admission (`Overloaded`) semantics over
 //! the wire, outbox backpressure, idle timeouts, client read
-//! deadlines, and draining shutdown — the behavioural contract of the
+//! deadlines, draining shutdown, and the wake paths of the loops'
+//! `poll(2)` waits (a lost doorbell ring shows up as a deadline miss
+//! or a shutdown watchdog firing) — the behavioural contract of the
 //! readiness-based `Server`.
 //!
 //! `CNED_BENCH_FAST=1` shrinks per-connection work (CI smoke) without
@@ -12,14 +14,15 @@ use cned_core::contextual::exact::Contextual;
 use cned_core::levenshtein::Levenshtein;
 use cned_core::metric::Distance;
 use cned_core::normalized::yujian_bo::YujianBo;
-use cned_search::{MetricIndex, Neighbour, QueryOptions, SearchError};
+use cned_search::{InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError};
 use cned_serve::wire;
 use cned_serve::{
     Client, ClientConfig, ClientError, Request, RequestId, ResponseBody, Server, ServerConfig,
     SessionConfig, ShardConfig, ShardedIndex,
 };
 use std::net::SocketAddr;
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn fast() -> bool {
@@ -451,4 +454,235 @@ fn config_defaults_are_the_documented_values() {
     assert_eq!(s.max_connections, 1024);
     assert_eq!(s.idle_timeout, Duration::from_secs(60));
     assert_eq!(s.outbox_depth, 64);
+}
+
+/// What the in-process index answers to `request`, in the session's
+/// response shape (the index is never empty here).
+fn expected_body(
+    twin: &mut ShardedIndex<u8>,
+    request: &Request<u8>,
+    dist: &dyn Distance<u8>,
+) -> ResponseBody {
+    match request {
+        Request::Nn { query } => {
+            let (neighbour, stats) =
+                MetricIndex::nn(twin, query, dist, &QueryOptions::new()).unwrap();
+            ResponseBody::Nn { neighbour, stats }
+        }
+        Request::Knn { query, k } => {
+            let (neighbours, stats) =
+                MetricIndex::knn(twin, query, dist, &QueryOptions::new().k(*k)).unwrap();
+            ResponseBody::Knn { neighbours, stats }
+        }
+        Request::Range { query, radius } => {
+            let (neighbours, stats) =
+                MetricIndex::range(twin, query, dist, &QueryOptions::new().radius(*radius))
+                    .unwrap();
+            ResponseBody::Range { neighbours, stats }
+        }
+        Request::Insert { item } => ResponseBody::Inserted {
+            index: InsertableIndex::insert(twin, item.clone(), dist).unwrap(),
+        },
+        Request::Delete { index } => ResponseBody::Deleted {
+            existed: MetricIndex::delete(twin, *index).unwrap(),
+        },
+    }
+}
+
+#[test]
+fn closed_loop_calls_are_all_answered_on_wake_ups() {
+    // One client waiting for every reply before it sends the next
+    // request: each answer is picked up only because the loop wakes
+    // on the client's bytes and then on the session's ring. With the
+    // default 60 s idle timeout nothing else wakes the loop, so a
+    // lost ring can only end in a deadline miss.
+    let dist = Levenshtein;
+    let db = corpus(40, 6, 3, 2043);
+    let queries = corpus(50, 6, 3, 20431);
+    let mut twin = build(&db, 2, &dist);
+    let server = Server::bind("127.0.0.1:0", build(&db, 2, &dist), Arc::new(dist)).unwrap();
+    let mut client: Client<u8> = Client::connect_with(
+        server.local_addr(),
+        ClientConfig::new().read_deadline(Duration::from_secs(2)),
+    )
+    .unwrap();
+
+    let mut fresh = corpus(20, 5, 4, 20433).into_iter();
+    for i in 0..500usize {
+        let query = queries[i % queries.len()].clone();
+        let request = match i % 50 {
+            17 => Request::Insert {
+                item: fresh.next().unwrap(),
+            },
+            41 => Request::Delete {
+                index: i % db.len(),
+            },
+            _ => match i % 3 {
+                0 => Request::Nn { query },
+                1 => Request::Knn { query, k: 3 },
+                _ => Request::Range { query, radius: 2.0 },
+            },
+        };
+        let got = client
+            .call(request.clone())
+            .unwrap_or_else(|e| panic!("call {i}: {e:?}"));
+        assert_eq!(got, expected_body(&mut twin, &request, &dist), "call {i}");
+    }
+
+    let batch: Vec<Request<u8>> = queries[..8]
+        .iter()
+        .map(|q| Request::Knn {
+            query: q.clone(),
+            k: 2,
+        })
+        .collect();
+    let got = client.call_batch(&batch).unwrap();
+    let want: Vec<ResponseBody> = batch
+        .iter()
+        .map(|r| expected_body(&mut twin, r, &dist))
+        .collect();
+    assert_eq!(got, want, "batch frame");
+
+    drop(client);
+    server.shutdown();
+}
+
+/// Run `shutdown` on its own thread and fail (instead of hanging) if it
+/// does not finish within 10 s.
+fn shutdown_within_watchdog<T: Send + 'static>(shutdown: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(shutdown());
+    });
+    let value = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown must wake the waiting threads and finish");
+    handle
+        .join()
+        .expect("the shutdown thread exits after sending");
+    value
+}
+
+#[test]
+fn shutdown_wakes_a_loop_holding_an_idle_connection() {
+    let db = corpus(12, 5, 3, 2047);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        build(&db, 1, &Levenshtein),
+        Arc::new(Levenshtein),
+    )
+    .unwrap();
+    let mut client: Client<u8> = Client::connect(server.local_addr()).unwrap();
+    // One answered call: the connection is routed and its loop is
+    // back in a wait whose only timeout is the 60 s idle deadline.
+    assert_eq!(client.nn(&db[0]).unwrap().0.unwrap().distance, 0.0);
+    let index = shutdown_within_watchdog(move || server.shutdown());
+    assert_eq!(MetricIndex::len(&index), db.len());
+    drop(client);
+}
+
+/// A distance that stalls while its gate is closed: it holds the
+/// session scheduler inside a query, so later requests queue behind.
+struct Gated {
+    open: Arc<AtomicBool>,
+    /// Set once a call is stalled at the closed gate.
+    stalled: Arc<AtomicBool>,
+}
+
+impl Distance<u8> for Gated {
+    fn distance(&self, a: &[u8], b: &[u8]) -> f64 {
+        while !self.open.load(Ordering::Acquire) {
+            self.stalled.store(true, Ordering::Release);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        Levenshtein.distance(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated d_E"
+    }
+
+    fn is_metric(&self) -> bool {
+        true
+    }
+}
+
+/// Opens the gate when dropped, so a failing assertion unwinds into a
+/// server drop that can drain instead of hanging.
+struct OpenOnDrop(Arc<AtomicBool>);
+
+impl Drop for OpenOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Spin until `done`, failing after 10 s.
+fn within_10s(what: &str, mut done: impl FnMut() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < Duration::from_secs(10), "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn shutdown_drains_a_batch_in_flight() {
+    let db = corpus(24, 6, 3, 2053);
+    let open = Arc::new(AtomicBool::new(true));
+    let stalled_at_gate = Arc::new(AtomicBool::new(false));
+    let dist = Arc::new(Gated {
+        open: Arc::clone(&open),
+        stalled: Arc::clone(&stalled_at_gate),
+    });
+    let server = Server::bind("127.0.0.1:0", build(&db, 2, &*dist), dist.clone()).unwrap();
+    let mut client: Client<u8> = Client::connect(server.local_addr()).unwrap();
+
+    // Stall the scheduler on an in-process query, then queue a batch
+    // frame behind it: the batch is accepted but cannot resolve.
+    open.store(false, Ordering::Release);
+    let _reopen = OpenOnDrop(Arc::clone(&open));
+    let stalled = server
+        .session()
+        .submit(Request::Nn {
+            query: db[0].clone(),
+        })
+        .unwrap();
+    within_10s("the scheduler never reached the gate", || {
+        stalled_at_gate.load(Ordering::Acquire)
+    });
+    let batch: Vec<Request<u8>> = db[..6]
+        .iter()
+        .map(|q| Request::Nn { query: q.clone() })
+        .collect();
+    let ticket = client.submit_batch(&batch).unwrap();
+    client.flush().unwrap();
+    within_10s("the batch frame never reached the session", || {
+        server.session().pending() == batch.len()
+    });
+
+    // Shut down while the batch is in flight: the loops stop reading
+    // and wait for its tickets; only the session's rings can wake them
+    // once the gate opens. The gate opens 50 ms later, so the drain
+    // most likely starts first; either order must pass.
+    let opener = {
+        let open = Arc::clone(&open);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            open.store(true, Ordering::Release);
+        })
+    };
+    let index = shutdown_within_watchdog(move || server.shutdown());
+    opener.join().unwrap();
+    assert_eq!(MetricIndex::len(&index), db.len());
+
+    let twin = build(&db, 2, &Levenshtein);
+    let bodies = ticket.wait().expect("the accepted batch is answered");
+    assert_eq!(bodies.len(), batch.len());
+    for (body, q) in bodies.iter().zip(&db) {
+        let (neighbour, stats) =
+            MetricIndex::nn(&twin, q, &Levenshtein, &QueryOptions::new()).unwrap();
+        assert_eq!(body, &ResponseBody::Nn { neighbour, stats });
+    }
+    assert!(matches!(stalled.wait().body, ResponseBody::Nn { .. }));
 }

@@ -29,6 +29,7 @@ use cned_search::{
 use cned_serve::ordered::{rank, OrderedMutex};
 use cned_serve::server::ReplOp;
 use cned_serve::wire::WireSymbol;
+use cned_serve::Doorbell;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
 
@@ -47,9 +48,9 @@ pub const WAL_FILE: &str = "wal.cned";
 /// [`crate::StoreHub`] (event-loop threads).
 pub(crate) struct StoreShared<S: WireSymbol> {
     pub(crate) dir: PathBuf,
-    /// Live replica subscriptions. Rank 30: taken alone, briefly, by
-    /// either side.
-    pub(crate) subs: OrderedMutex<Vec<mpsc::Sender<ReplOp<S>>>>,
+    /// Live replica subscriptions, each with its event loop's bell.
+    /// Rank 30: taken alone, briefly, by either side.
+    pub(crate) subs: OrderedMutex<Vec<(mpsc::Sender<ReplOp<S>>, Doorbell)>>,
     /// Guards the *install* of new file states (snapshot rename + WAL
     /// truncate) against concurrent sync-payload reads. Plain appends
     /// don't take it — a torn WAL tail is harmless to a reader, but an
@@ -67,16 +68,22 @@ impl<S: WireSymbol> StoreShared<S> {
         self.dir.join(WAL_FILE)
     }
 
-    /// Deliver one durable write to every live subscriber, dropping
-    /// subscriptions whose receiver has gone away.
+    /// Deliver one durable write to every live subscriber and ring its
+    /// loop, dropping subscriptions whose receiver has gone away.
     fn publish(&self, op: &ReplOp<S>) {
         let mut subs = self.subs.lock();
-        subs.retain(|tx| tx.send(op.clone()).is_ok());
+        subs.retain(|(tx, bell)| {
+            let live = tx.send(op.clone()).is_ok();
+            if live {
+                bell.ring();
+            }
+            live
+        });
     }
 
-    pub(crate) fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>> {
+    pub(crate) fn subscribe(&self, bell: Doorbell) -> mpsc::Receiver<ReplOp<S>> {
         let (tx, rx) = mpsc::channel();
-        self.subs.lock().push(tx);
+        self.subs.lock().push((tx, bell));
         rx
     }
 }

@@ -25,6 +25,7 @@
 use cned_search::SearchError;
 use cned_serve::server::{ReplOp, ReplicaHub};
 use cned_serve::wire::{WireSymbol, SYNC_ITEMS, SYNC_SNAPSHOT};
+use cned_serve::Doorbell;
 use std::sync::{mpsc, Arc};
 
 use crate::durable::StoreShared;
@@ -89,8 +90,8 @@ impl<S: WireSymbol> ReplicaHub<S> for StoreHub<S> {
         self.payload(have).map_err(SearchError::from)
     }
 
-    fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>> {
-        self.shared.subscribe()
+    fn subscribe(&self, bell: Doorbell) -> mpsc::Receiver<ReplOp<S>> {
+        self.shared.subscribe(bell)
     }
 }
 
