@@ -19,10 +19,10 @@
 //!   the claim that the indirection is in the noise (<2%): one
 //!   virtual call per query against thousands of distance
 //!   computations;
-//! * `pipeline_mixed` — `QueryPipeline::run` over a mixed
-//!   NN/k-NN/range queue on a pre-built index (inserts are exercised
-//!   by the test suite; timing them would mutate the index across
-//!   iterations).
+//! * `pipeline_mixed` — a mixed NN/k-NN/range queue submitted to a
+//!   `ServeSession` over a pre-built index, every ticket waited
+//!   (inserts are exercised by the test suite; timing them would
+//!   mutate the index across iterations).
 //!
 //! After the timed groups the bench replays one batch per shard count
 //! and reports total distance computations, making the "bound
@@ -33,6 +33,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 use cned_core::levenshtein::Levenshtein;
@@ -40,7 +41,7 @@ use cned_datasets::dictionary::spanish_dictionary;
 use cned_datasets::perturb::{gen_queries, ASCII_LOWER};
 use cned_search::parallel::set_thread_override;
 use cned_search::{MetricIndex, QueryOptions};
-use cned_serve::{QueryPipeline, Request, ShardConfig, ShardedIndex};
+use cned_serve::{Request, ServeSession, SessionConfig, ShardConfig, ShardedIndex, Ticket};
 
 fn fast() -> bool {
     std::env::var("CNED_BENCH_FAST").is_ok_and(|v| v != "0")
@@ -195,7 +196,16 @@ fn bench_pipeline(c: &mut Criterion) {
             _ => Request::Nn { query: q.clone() },
         })
         .collect();
-    let mut pipeline = QueryPipeline::new(build(&db, 4));
+    // Admission room for one whole queue: it is submitted up front.
+    let config = SessionConfig::new().queue_depth(requests.len());
+    let session = ServeSession::spawn_with(build(&db, 4), Arc::new(Levenshtein), config);
+    let run = || -> Vec<_> {
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|r| session.submit(r.clone()).expect("queue sized for one run"))
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
+    };
     let mut group = c.benchmark_group("pipeline_mixed");
     group
         .sample_size(10)
@@ -204,11 +214,12 @@ fn bench_pipeline(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
             set_thread_override(Some(t));
-            b.iter(|| black_box(pipeline.run(&requests, &Levenshtein)));
+            b.iter(|| black_box(run()));
             set_thread_override(None);
         });
     }
     group.finish();
+    session.shutdown();
 }
 
 criterion_group!(

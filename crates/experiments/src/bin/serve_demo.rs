@@ -13,8 +13,8 @@
 //!
 //! Two serving paths:
 //!
-//! * in-process (default): the queue runs through [`QueryPipeline`]
-//!   (a scoped serve session);
+//! * in-process (default): the whole queue is submitted to a
+//!   [`ServeSession`] up front and every [`Ticket`] is waited in turn;
 //! * `network=true`: the index is served over TCP on an ephemeral
 //!   loopback port through [`Server`], and a pipelined [`Client`]
 //!   submits the same queue over the wire, collecting tickets out of
@@ -37,8 +37,8 @@ use cned_experiments::args::Args;
 use cned_plan::{CacheConfig, CachedIndex};
 use cned_search::{InsertableIndex, LinearIndex, MetricIndex, QueryOptions};
 use cned_serve::{
-    Client, QueryPipeline, Request, RequestId, Response, ResponseBody, Server, ShardConfig,
-    ShardedIndex, Ticket,
+    Client, Request, RequestId, Response, ResponseBody, ServeSession, Server, SessionConfig,
+    ShardConfig, ShardedIndex, Ticket,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -229,24 +229,26 @@ fn report_throughput(responses: &[Response], elapsed: std::time::Duration) {
 
 fn run_in_process(db: &[Vec<u8>], requests: &[Request<u8>], p: &Params) {
     let index = build_index(db, p);
-    let mut pipeline = QueryPipeline::new(index);
+    // Admission room for the whole queue: it is submitted up front.
+    let config = SessionConfig::new().queue_depth(requests.len());
+    let session = ServeSession::spawn_with(index, Arc::new(Levenshtein), config);
     let t = Instant::now();
-    let responses = pipeline.run(requests, &Levenshtein);
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| session.submit(r.clone()).expect("queue sized for the run"))
+        .collect();
+    let tagged: Vec<(RequestId, &Request<u8>)> =
+        tickets.iter().map(Ticket::id).zip(requests).collect();
+    let responses: Vec<Response> = tickets.into_iter().map(Ticket::wait).collect();
     let elapsed = t.elapsed();
     report_throughput(&responses, elapsed);
-    // The pipeline assigns sequential ids in queue order.
-    let tagged: Vec<(RequestId, &Request<u8>)> = requests
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (RequestId(i as u64), r))
-        .collect();
-    oracle_check("pipeline", db, &tagged, &responses);
-    let index = pipeline.index();
-    report_cache(index);
+    oracle_check("session", db, &tagged, &responses);
+    let index = session.shutdown();
+    report_cache(&index);
     println!(
         "index now {} items ({} tombstoned), {} in delta, {} shards",
-        MetricIndex::len(index),
-        MetricIndex::deleted(index),
+        MetricIndex::len(&index),
+        MetricIndex::deleted(&index),
         index.inner().delta_len(),
         index.inner().num_shards()
     );

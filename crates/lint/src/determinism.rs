@@ -15,7 +15,7 @@
 //!   `total_cmp` or the audited `ELIMINATION_SLACK` band.
 //!
 //! Audited sites are exempted either by enclosing-function allowlist
-//! (`sanitise_distance`, `better_than`, `ordering`) or by an explicit
+//! (`sanitise_distance`, `ordering`) or by an explicit
 //! `// lint:allow(rule) — reason` annotation.
 
 use crate::lexer::TokKind;
@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 pub const ANSWER_PATH_CRATES: &[&str] = &["core", "search", "serve", "plan"];
 
 /// Functions audited by hand; their bodies may compare floats.
-const ALLOWED_FNS: &[&str] = &["sanitise_distance", "better_than", "ordering"];
+const ALLOWED_FNS: &[&str] = &["sanitise_distance", "ordering"];
 
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -313,7 +313,7 @@ mod tests {
 
     #[test]
     fn allowlisted_fn_may_compare() {
-        let src = "fn better_than(a: f64, b: f64) -> bool {\n    a.partial_cmp(&b) == Some(core::cmp::Ordering::Less)\n}\n";
+        let src = "fn ordering(a: f64, b: f64) -> bool {\n    a.partial_cmp(&b) == Some(core::cmp::Ordering::Less)\n}\n";
         assert!(run_on("core", src).is_empty());
     }
 

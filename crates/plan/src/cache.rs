@@ -95,7 +95,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-const KIND_NN: u8 = 0;
 const KIND_KNN: u8 = 1;
 const KIND_RANGE: u8 = 2;
 
@@ -110,17 +109,16 @@ struct Key<S> {
     /// `opts.radius.to_bits()`; NaN radii are never cached (they are
     /// typed errors).
     radius_bits: u64,
-    /// `opts.k` for k-NN, `0` otherwise (NN and range ignore `k`).
+    /// `opts.k` for k-NN (NN is cached as its `k = 1` case), `0` for
+    /// range, which ignores `k`.
     k: usize,
     /// `opts.pivot_budget`, `u64::MAX` for "all pivots".
     pivot_budget: u64,
 }
 
-#[derive(Clone)]
-enum Answer {
-    Nn(Option<Neighbour>, SearchStats),
-    Many(Vec<Neighbour>, SearchStats),
-}
+/// A cached answer: the neighbours and the statistics of the call
+/// that produced them.
+type Answer = (Vec<Neighbour>, SearchStats);
 
 const NONE: usize = usize::MAX;
 
@@ -240,7 +238,7 @@ impl<S: Symbol + Hash> Shard<S> {
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
             self.weight -= self.slots[victim].weight;
-            self.slots[victim].answer = Answer::Nn(None, SearchStats::default());
+            self.slots[victim].answer = (Vec::new(), SearchStats::default());
             self.slots[victim].key.query = Vec::new();
             self.free.push(victim);
         }
@@ -449,47 +447,6 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         self.inner.item(i)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if !self.cacheable(opts) {
-            return self.inner.nn(query, dist, opts);
-        }
-        let key = Self::key(KIND_NN, query, dist, opts);
-        let shard = self.shard_for(&key);
-        if let Some(Answer::Nn(nb, stats)) = shard.lock().expect("cache shard lock").get(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            opts.record(stats);
-            return Ok((nb, stats));
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let mut eff = opts.clone();
-        if let Some(bound) = self.seed_bound(shard, query, dist, 1) {
-            if bound.total_cmp(&eff.radius).is_lt() {
-                eff.radius = bound;
-                self.counters.seeded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (nb, stats) = self.inner.nn(query, dist, &eff)?;
-        let mut guard = shard.lock().expect("cache shard lock");
-        guard.insert(
-            key,
-            Answer::Nn(nb, stats),
-            1 + stats.distance_computations,
-            self.config.shard_capacity,
-        );
-        guard.remember_seed(
-            query,
-            dist.name(),
-            nb.iter().map(|n| n.distance).collect(),
-            self.config.seed_ring,
-        );
-        Ok((nb, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -501,7 +458,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         }
         let key = Self::key(KIND_KNN, query, dist, opts);
         let shard = self.shard_for(&key);
-        if let Some(Answer::Many(hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
+        if let Some((hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             opts.record(stats);
             return Ok((hits, stats));
@@ -518,7 +475,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let mut guard = shard.lock().expect("cache shard lock");
         guard.insert(
             key,
-            Answer::Many(hits.clone(), stats),
+            (hits.clone(), stats),
             1 + stats.distance_computations,
             self.config.shard_capacity,
         );
@@ -542,7 +499,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         }
         let key = Self::key(KIND_RANGE, query, dist, opts);
         let shard = self.shard_for(&key);
-        if let Some(Answer::Many(hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
+        if let Some((hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             opts.record(stats);
             return Ok((hits, stats));
@@ -553,7 +510,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let mut guard = shard.lock().expect("cache shard lock");
         guard.insert(
             key,
-            Answer::Many(hits.clone(), stats),
+            (hits.clone(), stats),
             1 + stats.distance_computations,
             self.config.shard_capacity,
         );

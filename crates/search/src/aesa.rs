@@ -67,71 +67,36 @@ impl<S: Symbol> Aesa<S> {
         self.preprocessing_computations
     }
 
-    /// Nearest neighbour of `query`; every computed element updates
-    /// every candidate's lower bound.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_prepared(&*prepared, f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// Nearest neighbour **within `radius`** of an already-prepared
-    /// query: `Some(nb)` with `nb.distance <= radius` (ties towards
-    /// the smallest index), or `None` when no element lies within the
-    /// radius. The statistics are returned either way.
+    /// The AESA search loop shared by k-NN and range search.
     ///
-    /// Every computed element is a pivot in AESA — its exact distance
-    /// tightens all remaining lower bounds — so unlike LAESA there is
-    /// no bounded-evaluation shortcut to take here; the radius seed
-    /// still pays off through earlier candidate elimination.
-    pub fn nn_prepared(
+    /// Starting from element 0, computes the selected element's exact
+    /// distance and hands it to `admit`, which records the element and
+    /// returns the current elimination bound (the `k`-th-best distance
+    /// or the fixed range radius). Every computed element is a pivot
+    /// in AESA: its matrix row tightens every alive candidate's lower
+    /// bound, candidates above the bound (plus
+    /// [`crate::ELIMINATION_SLACK`]) are eliminated, and the alive
+    /// candidate with the minimal (lower bound, index) is selected
+    /// next. Returns the number of distance computations.
+    fn eliminate(
         &self,
         prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
+        mut admit: impl FnMut(usize, f64) -> f64,
+    ) -> u64 {
         let n = self.db.len();
-        if n == 0 {
-            return (None, SearchStats::default());
-        }
         let mut alive = vec![true; n];
         let mut lower = vec![0.0f64; n];
         let mut n_alive = n;
         let mut computations = 0u64;
-        // The radius doubles as a virtual incumbent (usize::MAX loses
-        // every index tie-break; an infinite distance never wins one).
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-        let mut selected = Some(0usize);
+        let mut selected = (n > 0).then_some(0usize);
 
         while let Some(s) = selected.take() {
             let d = sanitise_distance(prepared.distance_to(&self.db[s]));
             computations += 1;
-            let candidate = Neighbour {
-                index: s,
-                distance: d,
-            };
-            // Canonical tie-break: equal distances resolve to the
-            // smallest index, matching linear/LAESA/sharded paths.
-            if candidate.better_than(&best) {
-                best = candidate;
-            }
+            let bound = admit(s, d);
             alive[s] = false;
             n_alive -= 1;
 
-            // Every computed element is a pivot in AESA.
             let row = &self.matrix[s * n..(s + 1) * n];
             let mut next: Option<(usize, f64)> = None;
             for u in 0..n {
@@ -142,7 +107,7 @@ impl<S: Symbol> Aesa<S> {
                 if g > lower[u] {
                     lower[u] = g;
                 }
-                if lower[u] > best.distance + crate::ELIMINATION_SLACK {
+                if lower[u] > bound + crate::ELIMINATION_SLACK {
                     alive[u] = false;
                     n_alive -= 1;
                 } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
@@ -168,47 +133,29 @@ impl<S: Symbol> Aesa<S> {
                 }
             };
         }
-
-        let found = (best.index != usize::MAX).then_some(best);
-        (
-            found,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
+        computations
     }
 
     /// The `k` nearest neighbours **within `radius`** of an
     /// already-prepared query, in the canonical (distance, index)
-    /// order. Same machinery as [`Aesa::nn_prepared`] but elimination
-    /// uses the running `k`-th-best distance.
-    pub fn knn_prepared(
+    /// order; elimination uses the running `k`-th-best distance (the
+    /// radius while fewer than `k` are known). Nearest-neighbour search
+    /// is the `k = 1` case.
+    fn knn_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         k: usize,
         radius: f64,
     ) -> (Vec<Neighbour>, SearchStats) {
-        let n = self.db.len();
-        if n == 0 || k == 0 {
+        if k == 0 {
             return (Vec::new(), SearchStats::default());
         }
-        let mut alive = vec![true; n];
-        let mut lower = vec![0.0f64; n];
-        let mut n_alive = n;
-        let mut computations = 0u64;
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
-        let kth = |best: &Vec<Neighbour>| -> f64 {
-            if best.len() < k {
-                radius
-            } else {
-                best[k - 1].distance
-            }
-        };
-        let mut selected = Some(0usize);
-
-        while let Some(s) = selected.take() {
-            let d = sanitise_distance(prepared.distance_to(&self.db[s]));
-            computations += 1;
+        // Sized by the corpus, never by `k` alone: `k` arrives straight
+        // off the wire.
+        let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(self.db.len()) + 1);
+        let computations = self.eliminate(prepared, |s, d| {
+            // Canonical tie-break: equal distances resolve to the
+            // smallest index, matching every other backend.
             if d.is_finite() && d <= radius {
                 let candidate = Neighbour {
                     index: s,
@@ -220,44 +167,12 @@ impl<S: Symbol> Aesa<S> {
                 best.insert(pos, candidate);
                 best.truncate(k);
             }
-            alive[s] = false;
-            n_alive -= 1;
-
-            let bound = kth(&best);
-            let row = &self.matrix[s * n..(s + 1) * n];
-            let mut next: Option<(usize, f64)> = None;
-            for u in 0..n {
-                if !alive[u] {
-                    continue;
-                }
-                let g = (d - row[u]).abs();
-                if g > lower[u] {
-                    lower[u] = g;
-                }
-                if lower[u] > bound + crate::ELIMINATION_SLACK {
-                    alive[u] = false;
-                    n_alive -= 1;
-                } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
-                    next = Some((u, lower[u]));
-                }
+            if best.len() < k {
+                radius
+            } else {
+                best[k - 1].distance
             }
-            if n_alive == 0 {
-                break;
-            }
-            selected = match next {
-                Some((u, _)) if alive[u] => Some(u),
-                _ => {
-                    let mut fallback: Option<(usize, f64)> = None;
-                    for u in 0..n {
-                        if alive[u] && fallback.is_none_or(|(_, bg)| lower[u] < bg) {
-                            fallback = Some((u, lower[u]));
-                        }
-                    }
-                    fallback.map(|(u, _)| u)
-                }
-            };
-        }
-
+        });
         (
             best,
             SearchStats {
@@ -271,65 +186,21 @@ impl<S: Symbol> Aesa<S> {
     /// shrinks, so elimination is against a fixed bound: each computed
     /// element's exact distance answers its own membership and
     /// tightens every survivor's lower bound.
-    pub fn range_prepared(
+    fn range_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         radius: f64,
     ) -> (Vec<Neighbour>, SearchStats) {
-        let n = self.db.len();
-        let mut alive = vec![true; n];
-        let mut lower = vec![0.0f64; n];
-        let mut n_alive = n;
-        let mut computations = 0u64;
         let mut hits: Vec<Neighbour> = Vec::new();
-        let mut selected = (n > 0).then_some(0usize);
-
-        while let Some(s) = selected.take() {
-            let d = sanitise_distance(prepared.distance_to(&self.db[s]));
-            computations += 1;
+        let computations = self.eliminate(prepared, |s, d| {
             if d.is_finite() && d <= radius {
                 hits.push(Neighbour {
                     index: s,
                     distance: d,
                 });
             }
-            alive[s] = false;
-            n_alive -= 1;
-
-            let row = &self.matrix[s * n..(s + 1) * n];
-            let mut next: Option<(usize, f64)> = None;
-            for u in 0..n {
-                if !alive[u] {
-                    continue;
-                }
-                let g = (d - row[u]).abs();
-                if g > lower[u] {
-                    lower[u] = g;
-                }
-                if lower[u] > radius + crate::ELIMINATION_SLACK {
-                    alive[u] = false;
-                    n_alive -= 1;
-                } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
-                    next = Some((u, lower[u]));
-                }
-            }
-            if n_alive == 0 {
-                break;
-            }
-            selected = match next {
-                Some((u, _)) if alive[u] => Some(u),
-                _ => {
-                    let mut fallback: Option<(usize, f64)> = None;
-                    for u in 0..n {
-                        if alive[u] && fallback.is_none_or(|(_, bg)| lower[u] < bg) {
-                            fallback = Some((u, lower[u]));
-                        }
-                    }
-                    fallback.map(|(u, _)| u)
-                }
-            };
-        }
-
+            radius
+        });
         hits.sort_by(|a, b| a.ordering(b));
         (
             hits,
@@ -337,28 +208,6 @@ impl<S: Symbol> Aesa<S> {
                 distance_computations: computations,
             },
         )
-    }
-
-    /// `nn` for a batch of queries, parallelised across queries (each
-    /// worker prepares its query once). Returns `None` on an empty
-    /// database, mirroring the single-query API.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-    ) -> Option<Vec<(Neighbour, SearchStats)>> {
-        if self.db.is_empty() {
-            return None;
-        }
-        Some(par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            let (best, stats) = self.nn_prepared(&*prepared, f64::INFINITY);
-            (best.expect("database checked non-empty"), stats)
-        }))
     }
 }
 
@@ -375,30 +224,6 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_prepared(&*prepared, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_prepared(&*prepared, want, radius);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -410,12 +235,9 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         }
         let radius = opts.checked_radius()?;
         let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_prepared(&*prepared, want, radius);
+        // Over-fetch: at most T of the top k + T answers can be dead.
+        let want = opts.k.saturating_add(self.tombstones.count());
+        let (mut best, stats) = self.knn_search(&*prepared, want, radius);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
         opts.record(stats);
@@ -433,7 +255,7 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         }
         let radius = opts.checked_radius()?;
         let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_prepared(&*prepared, radius);
+        let (mut hits, stats) = self.range_search(&*prepared, radius);
         self.tombstones.retain_live(&mut hits);
         opts.record(stats);
         Ok((hits, stats))
@@ -457,14 +279,9 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the deprecated forwarders' behaviour (they share
-    // cores with the MetricIndex path) until the legacy surface is
-    // removed.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::laesa::Laesa;
-    use crate::linear::linear_nn;
+    use crate::linear::LinearIndex;
     use crate::pivots::select_pivots_max_sum;
     use cned_core::levenshtein::Levenshtein;
 
@@ -486,10 +303,19 @@ mod tests {
             .collect()
     }
 
+    fn nn(idx: &dyn MetricIndex<u8>, q: &[u8]) -> (Neighbour, SearchStats) {
+        let (found, stats) = idx.nn(q, &Levenshtein, &QueryOptions::new()).unwrap();
+        (found.expect("infinite radius always finds"), stats)
+    }
+
     #[test]
-    fn empty_db_returns_none() {
+    fn empty_db_is_a_typed_error() {
         let idx: Aesa<u8> = Aesa::build(Vec::new(), &Levenshtein);
-        assert!(idx.nn(b"x", &Levenshtein).is_none());
+        assert_eq!(
+            idx.nn(b"x", &Levenshtein, &QueryOptions::new())
+                .unwrap_err(),
+            SearchError::EmptyDatabase
+        );
     }
 
     #[test]
@@ -502,11 +328,11 @@ mod tests {
     #[test]
     fn agrees_with_linear_scan() {
         let db = corpus(100, 9, 3, 19);
-        let queries = corpus(30, 9, 3, 191);
         let idx = Aesa::build(db.clone(), &Levenshtein);
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
+        let oracle = LinearIndex::new(db);
+        for q in corpus(30, 9, 3, 191) {
+            let (l_nn, _) = nn(&oracle, &q);
+            let (a_nn, _) = nn(&idx, &q);
             assert_eq!(a_nn.distance, l_nn.distance, "query {q:?}");
         }
     }
@@ -514,14 +340,13 @@ mod tests {
     #[test]
     fn aesa_uses_no_more_computations_than_laesa_on_average() {
         let db = corpus(200, 10, 3, 29);
-        let queries = corpus(25, 10, 3, 291);
         let aesa = Aesa::build(db.clone(), &Levenshtein);
         let pivots = select_pivots_max_sum(&db, 12, 0, &Levenshtein);
-        let laesa = Laesa::build(db, pivots, &Levenshtein);
+        let laesa = Laesa::try_build(db, pivots, &Levenshtein).unwrap();
         let (mut a_total, mut l_total) = (0u64, 0u64);
-        for q in &queries {
-            a_total += aesa.nn(q, &Levenshtein).unwrap().1.distance_computations;
-            l_total += laesa.nn(q, &Levenshtein).unwrap().1.distance_computations;
+        for q in corpus(25, 10, 3, 291) {
+            a_total += nn(&aesa, &q).1.distance_computations;
+            l_total += nn(&laesa, &q).1.distance_computations;
         }
         assert!(
             a_total <= l_total,
@@ -534,7 +359,7 @@ mod tests {
         let db = corpus(150, 8, 3, 41);
         let probe = db[42].clone();
         let idx = Aesa::build(db, &Levenshtein);
-        let (nn, stats) = idx.nn(&probe, &Levenshtein).unwrap();
+        let (nn, stats) = nn(&idx, &probe);
         assert_eq!(nn.distance, 0.0);
         assert!(stats.distance_computations < 150);
     }
@@ -544,14 +369,13 @@ mod tests {
         let db = corpus(80, 9, 3, 47);
         let queries = corpus(15, 9, 3, 471);
         let idx = Aesa::build(db, &Levenshtein);
-        let batch = idx.nn_batch(&queries, &Levenshtein).unwrap();
-        for (q, (nn, stats)) in queries.iter().zip(&batch) {
-            let (snn, sstats) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(nn.distance, snn.distance, "query {q:?}");
-            assert_eq!(stats.distance_computations, sstats.distance_computations);
+        let opts = QueryOptions::new().threads(3);
+        let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
+        for (q, (found, stats)) in queries.iter().zip(&batch) {
+            let (snn, sstats) = nn(&idx, q);
+            assert_eq!(found.unwrap().distance, snn.distance, "query {q:?}");
+            assert_eq!(*stats, sstats);
         }
-        let empty: Aesa<u8> = Aesa::build(Vec::new(), &Levenshtein);
-        assert!(empty.nn_batch(&queries, &Levenshtein).is_none());
     }
 
     #[test]
@@ -593,17 +417,17 @@ mod tests {
     #[test]
     fn radius_seeded_nn_prunes_and_excludes() {
         let db = corpus(60, 8, 3, 67);
-        let idx = Aesa::build(db.clone(), &Levenshtein);
+        let idx = Aesa::build(db, &Levenshtein);
         for q in corpus(8, 8, 3, 671) {
-            let prepared = cned_core::metric::Distance::<u8>::prepare(&Levenshtein, &q);
-            let (nb, _) = idx.nn_prepared(&*prepared, f64::INFINITY);
-            let nb = nb.unwrap();
-            let (at, _) = idx.nn_prepared(&*prepared, nb.distance);
-            let at = at.unwrap();
+            let (nb, _) = nn(&idx, &q);
+            let seeded = |radius: f64| {
+                let opts = QueryOptions::new().radius(radius);
+                idx.nn(&q, &Levenshtein, &opts).unwrap().0
+            };
+            let at = seeded(nb.distance).unwrap();
             assert_eq!((at.index, at.distance), (nb.index, nb.distance));
             if nb.distance > 0.0 {
-                let (below, _) = idx.nn_prepared(&*prepared, nb.distance - 0.5);
-                assert!(below.is_none(), "query {q:?}");
+                assert!(seeded(nb.distance - 0.5).is_none(), "query {q:?}");
             }
         }
     }

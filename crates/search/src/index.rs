@@ -45,9 +45,9 @@ pub struct QueryOptions {
     pub k: usize,
     /// Computation budget for pivot-table backends: only the first `n`
     /// pivots are used for lower bounds, the rest are treated as plain
-    /// candidates. This replaces the old `Laesa::nn_limited` — greedy
-    /// max-sum selection is incremental, so a prefix of a large pivot
-    /// set behaves exactly like a dedicated smaller build. The sharded
+    /// candidates. Greedy max-sum selection is incremental, so a
+    /// prefix of a large pivot set behaves exactly like a dedicated
+    /// smaller build (the pivot sweep of Figures 3–4). The sharded
     /// backend applies the budget to **each shard's** pivot set;
     /// backends without pivots ignore it. `None` (default) uses every
     /// pivot.
@@ -182,18 +182,6 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
     /// indices from queries address this accessor.
     fn item(&self, i: usize) -> Option<&[S]>;
 
-    /// Nearest neighbour of `query` within `opts.radius`.
-    ///
-    /// `Ok((None, stats))` when the database holds nothing within the
-    /// radius (only possible with a finite radius seed); statistics
-    /// are returned either way.
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError>;
-
     /// The `opts.k` nearest neighbours of `query` within
     /// `opts.radius`, in canonical order. May return fewer than `k`
     /// entries when fewer elements lie within the radius.
@@ -203,6 +191,24 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
     ) -> Result<(Vec<Neighbour>, SearchStats), SearchError>;
+
+    /// Nearest neighbour of `query` within `opts.radius`: the first
+    /// hit of [`MetricIndex::knn`] with `k = 1`. NN is the `k = 1`
+    /// case of k-NN (Chávez et al. 2001), so every backend answers it
+    /// through its one k-NN core — same neighbour, same statistics.
+    ///
+    /// `Ok((None, stats))` when the database holds nothing within the
+    /// radius (only possible with a finite radius seed); statistics
+    /// are returned either way.
+    fn nn(
+        &self,
+        query: &[S],
+        dist: &dyn Distance<S>,
+        opts: &QueryOptions,
+    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
+        let (hits, stats) = self.knn(query, dist, &opts.clone().k(1))?;
+        Ok((hits.first().copied(), stats))
+    }
 
     /// Every item within `opts.radius` of `query` (inclusive), in
     /// canonical order — the one genuinely new operation of the
@@ -332,15 +338,6 @@ impl<S: Symbol, T: MetricIndex<S> + ?Sized> MetricIndex<S> for Box<T> {
 
     fn item(&self, i: usize) -> Option<&[S]> {
         (**self).item(i)
-    }
-
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        (**self).nn(query, dist, opts)
     }
 
     fn knn(

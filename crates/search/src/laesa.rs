@@ -32,6 +32,23 @@ use cned_core::Symbol;
 use core::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Validate `pivots` against a database of `n` items and map each
+/// item to its pivot row (`usize::MAX` for non-pivots). An
+/// out-of-range or repeated pivot is a typed error.
+fn pivot_row_map(n: usize, pivots: &[usize]) -> Result<Vec<usize>, SearchError> {
+    let mut pivot_row = vec![usize::MAX; n];
+    for (r, &p) in pivots.iter().enumerate() {
+        if p >= n {
+            return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
+        }
+        if pivot_row[p] != usize::MAX {
+            return Err(SearchError::DuplicatePivot { pivot: p });
+        }
+        pivot_row[p] = r;
+    }
+    Ok(pivot_row)
+}
+
 /// A LAESA index over an owned database of strings.
 #[derive(Debug)]
 pub struct Laesa<S: Symbol> {
@@ -67,16 +84,7 @@ impl<S: Symbol> Laesa<S> {
         dist: &D,
     ) -> Result<Laesa<S>, SearchError> {
         let n = db.len();
-        let mut pivot_row = vec![usize::MAX; n];
-        for (r, &p) in pivots.iter().enumerate() {
-            if p >= n {
-                return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
-            }
-            if pivot_row[p] != usize::MAX {
-                return Err(SearchError::DuplicatePivot { pivot: p });
-            }
-            pivot_row[p] = r;
-        }
+        let pivot_row = pivot_row_map(n, &pivots)?;
         let refs: Vec<&[S]> = db.iter().map(Vec::as_slice).collect();
         let rows: Vec<Vec<f64>> = par_map(pivots.len(), |r| {
             let prepared = dist.prepare(&db[pivots[r]]);
@@ -98,25 +106,6 @@ impl<S: Symbol> Laesa<S> {
             preprocessing_computations,
             tombstones: TombstoneSet::new(),
         })
-    }
-
-    /// Panicking variant of [`Laesa::try_build`].
-    ///
-    /// # Panics
-    /// Panics if a pivot index is out of range or repeated.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Laesa::try_build`, which reports a typed error"
-    )]
-    pub fn build<D: Distance<S> + ?Sized>(
-        db: Vec<Vec<S>>,
-        pivots: Vec<usize>,
-        dist: &D,
-    ) -> Laesa<S> {
-        match Laesa::try_build(db, pivots, dist) {
-            Ok(index) => index,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The database the index was built over.
@@ -164,16 +153,7 @@ impl<S: Symbol> Laesa<S> {
         preprocessing: u64,
     ) -> Result<Laesa<S>, SearchError> {
         let n = db.len();
-        let mut pivot_row = vec![usize::MAX; n];
-        for (r, &p) in pivots.iter().enumerate() {
-            if p >= n {
-                return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
-            }
-            if pivot_row[p] != usize::MAX {
-                return Err(SearchError::DuplicatePivot { pivot: p });
-            }
-            pivot_row[p] = r;
-        }
+        let pivot_row = pivot_row_map(n, &pivots)?;
         if rows.len() != pivots.len() || rows.iter().any(|row| row.len() != n) {
             return Err(SearchError::Persistence {
                 reason: format!(
@@ -205,97 +185,13 @@ impl<S: Symbol> Laesa<S> {
         self.tombstones = tombstones;
     }
 
-    /// Nearest neighbour of `query`, counting real distance
-    /// evaluations. Returns `None` on an empty database.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_core(&*prepared, self.pivots.len(), f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// [`MetricIndex::nn`] restricted to the first `limit` pivots.
-    ///
-    /// Because greedy max-sum selection is incremental, the first `p`
-    /// pivots of an index built with `P ≥ p` pivots are exactly the
-    /// selection a `p`-pivot build would produce — so a pivot-count
-    /// sweep (Figures 3–4) can reuse one index instead of rebuilding
-    /// per point. Pivots beyond `limit` are treated as ordinary
-    /// candidates.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions::pivot_budget`"
-    )]
-    pub fn nn_limited<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-        limit: usize,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        // Prepared once per query; for d_E this caches the Myers Peq
-        // bitmaps reused by every comparison below.
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_core(&*prepared, limit, f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// Nearest neighbour **within `radius`** of an already-prepared
-    /// query: `Some(nb)` with `nb.distance <= radius` (ties towards
-    /// the smallest index), or `None` when no element lies within the
-    /// radius. The statistics are returned either way.
-    ///
-    /// This is the sharded serving layer's entry point
-    /// (`cned-serve`): the caller prepares the query **once** — so the
-    /// per-query caches (Myers `Peq` bitmaps, contextual DP scratch)
-    /// are reused across the whole pivot set of *every* shard — and
-    /// seeds each later shard with the best distance found so far,
-    /// which acts exactly like an already-known best: it bounds the
-    /// non-pivot candidate evaluations *and* feeds candidate
-    /// elimination from the first pivot onwards. Pivot distances are
-    /// still computed exactly even when they exceed the radius,
-    /// because their exact values are what make the triangle-
-    /// inequality lower bounds (and therefore the answer) correct.
-    pub fn nn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
-        self.nn_core(prepared, self.pivots.len(), radius)
-    }
-
-    /// [`Laesa::nn_prepared`] restricted to the first `limit` pivots
-    /// (the [`crate::QueryOptions::pivot_budget`] knob for callers
-    /// that manage prepared queries themselves, e.g. the sharded
-    /// serving layer applying a per-shard budget).
-    pub fn nn_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        limit: usize,
-    ) -> (Option<Neighbour>, SearchStats) {
-        self.nn_core(prepared, limit, radius)
-    }
-
-    /// Shared pivot phase of the NN and k-NN cores.
+    /// Pivot phase of the k-NN core.
     ///
     /// Evaluates active pivots exactly — the first in build order, then
     /// always the live pivot with the minimal (lower bound, index) —
     /// feeding each exact distance to `admit`, which records the
-    /// candidate and returns the updated pruning budget (the incumbent
-    /// or `k`-th-best distance). After every pivot the candidate and
+    /// candidate and returns the updated pruning budget (the `k`-th
+    /// best distance, or the radius while fewer are known). After every pivot the candidate and
     /// pivot live lists are tightened with the pivot's precomputed row
     /// and **compacted** against that budget, so per-round cost tracks
     /// the surviving set instead of rescanning all `n` elements every
@@ -409,147 +305,27 @@ impl<S: Symbol> Laesa<S> {
         take
     }
 
-    fn nn_core(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        limit: usize,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
-        let limit = limit.min(self.pivots.len());
-        let n = self.db.len();
-        if n == 0 {
-            return (None, SearchStats::default());
-        }
-
-        let mut lower = vec![0.0f64; n]; // G[u]
-        let mut computations = 0u64;
-        // The search radius doubles as a virtual incumbent: any real
-        // candidate at d <= radius beats it (usize::MAX loses every
-        // index tie-break).
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-
-        // Phase 1: pivots — exact distances, bound tightening,
-        // incremental elimination over compacted live lists.
-        let mut cands: Vec<usize> = Vec::new();
-        self.pivot_phase(
-            prepared,
-            limit,
-            &mut lower,
-            &mut cands,
-            &mut computations,
-            |s, d| {
-                let candidate = Neighbour {
-                    index: s,
-                    distance: d,
-                };
-                if candidate.better_than(&best) {
-                    best = candidate;
-                }
-                best.distance
-            },
-        );
-
-        // Phase 2: surviving candidates, visited in frozen
-        // (bound, index) order via a lazy bound-ordered heap and
-        // scored through the lane-batched bounded path. The budget is
-        // refreshed at every chunk boundary; a stale budget only
-        // admits a superset of what the one-at-a-time sweep would, and
-        // `better_than` keeps the final incumbent identical.
-        let mut heap = Self::heap_of_frozen_bounds(&cands, &lower);
-        let mut chunk = [0usize; LANES];
-        let mut targets: [&[S]; LANES] = [&[]; LANES];
-        let mut results: [Option<f64>; LANES] = [None; LANES];
-        loop {
-            let slack = best.distance + crate::ELIMINATION_SLACK;
-            let take = Self::pop_chunk(&mut heap, slack, &mut chunk);
-            if take == 0 {
-                // The heap's minimum exceeds the budget: every
-                // remaining candidate is eliminated too.
-                break;
-            }
-            for (t, &u) in chunk[..take].iter().enumerate() {
-                targets[t] = &self.db[u];
-            }
-            prepared.distance_to_batch_bounded(
-                &targets[..take],
-                best.distance,
-                &mut results[..take],
-            );
-            computations += take as u64;
-            for (i, d) in results[..take].iter().enumerate() {
-                let Some(d) = *d else { continue };
-                let candidate = Neighbour {
-                    index: chunk[i],
-                    distance: d,
-                };
-                if candidate.better_than(&best) {
-                    best = candidate;
-                }
-            }
-        }
-
-        let found = (best.index != usize::MAX).then_some(best);
-        (
-            found,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// The `k` nearest neighbours, sorted by increasing distance.
-    ///
-    /// Same machinery as nearest-neighbour search but elimination uses
-    /// the current `k`-th best distance, so fewer candidates are
-    /// pruned.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-        k: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let prepared = dist.prepare(query);
-        self.knn_prepared(&*prepared, k, f64::INFINITY)
-    }
-
     /// The `k` nearest neighbours **within `radius`** of an
-    /// already-prepared query, sorted by the canonical
-    /// (distance, index) ordering. May return fewer than `k` entries
-    /// when fewer elements lie within the radius.
+    /// already-prepared query, using only the first `limit` pivots
+    /// (the [`QueryOptions::pivot_budget`] knob; pass `usize::MAX` for
+    /// all), sorted by the canonical (distance, index) ordering. May
+    /// return fewer than `k` entries when fewer elements lie within
+    /// the radius. Nearest-neighbour search is the `k = 1` case.
     ///
-    /// The sharded k-NN counterpart of [`Laesa::nn_prepared`]: the
-    /// serving layer seeds each later shard with the running global
-    /// `k`-th-best distance, which bounds candidate evaluations and
-    /// elimination from the first pivot onwards, while pivot distances
-    /// stay exact (their values feed the lower-bound updates).
-    pub fn knn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.knn_core(prepared, k, radius, self.pivots.len())
-    }
-
-    /// [`Laesa::knn_prepared`] restricted to the first `limit` pivots.
-    pub fn knn_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.knn_core(prepared, k, radius, limit)
-    }
-
-    fn knn_core(
+    /// Elimination uses the running `k`-th-best distance (the radius
+    /// while fewer than `k` are known). This is the sharded serving
+    /// layer's entry point (`cned-serve`): the caller prepares the
+    /// query **once** — so the per-query caches (Myers `Peq` bitmaps,
+    /// contextual DP scratch) are reused across the pivot set of
+    /// *every* shard — and seeds each later shard with the running
+    /// global `k`-th-best distance, which acts exactly like an
+    /// already-known best: it bounds the non-pivot candidate
+    /// evaluations *and* feeds candidate elimination from the first
+    /// pivot onwards. Pivot distances are still computed exactly even
+    /// when they exceed the radius, because their exact values are
+    /// what make the triangle-inequality lower bounds (and therefore
+    /// the answer) correct.
+    pub fn knn_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         k: usize,
@@ -566,8 +342,9 @@ impl<S: Symbol> Laesa<S> {
         let mut computations = 0u64;
         // Current k best, kept sorted by (distance, index); the radius
         // caps the admission budget until k closer elements displace
-        // it.
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
+        // it. Sized by the corpus, never by `k` alone: `k` arrives
+        // straight off the wire.
+        let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(n) + 1);
         fn kth(best: &[Neighbour], k: usize, radius: f64) -> f64 {
             if best.len() < k {
                 radius
@@ -640,37 +417,18 @@ impl<S: Symbol> Laesa<S> {
     }
 
     /// Every element **within `radius`** (inclusive) of an
-    /// already-prepared query, in the canonical (distance, index)
-    /// order.
+    /// already-prepared query, using only the first `limit` pivots, in
+    /// the canonical (distance, index) order.
     ///
-    /// Unlike NN/k-NN the pruning radius never shrinks, so the
-    /// algorithm is a straight two-phase sweep: every active pivot is
-    /// computed exactly (its value both answers its own membership and
-    /// tightens every candidate's triangle-inequality lower bound
+    /// Unlike k-NN the pruning radius never shrinks, so the algorithm
+    /// is a straight two-phase sweep: every active pivot is computed
+    /// exactly (its value both answers its own membership and tightens
+    /// every candidate's triangle-inequality lower bound
     /// `G[u] = max_p |d(q,p) − d(p,u)|`), candidates whose bound
     /// exceeds `radius` (plus [`crate::ELIMINATION_SLACK`]) are
     /// eliminated unevaluated, and the survivors are evaluated with
     /// `radius` as their early-exit budget.
-    pub fn range_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.range_core(prepared, radius, self.pivots.len())
-    }
-
-    /// [`Laesa::range_prepared`] restricted to the first `limit`
-    /// pivots.
-    pub fn range_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.range_core(prepared, radius, limit)
-    }
-
-    fn range_core(
+    pub fn range_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         radius: f64,
@@ -751,45 +509,6 @@ impl<S: Symbol> Laesa<S> {
             },
         )
     }
-
-    /// `nn` for a batch of queries, parallelised across queries (each
-    /// worker prepares its query once). Returns `None` on an empty
-    /// database, mirroring the single-query API.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-    ) -> Option<Vec<(Neighbour, SearchStats)>> {
-        if self.db.is_empty() {
-            return None;
-        }
-        Some(crate::parallel::par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            let (best, stats) = self.nn_core(&*prepared, self.pivots.len(), f64::INFINITY);
-            (best.expect("database checked non-empty"), stats)
-        }))
-    }
-
-    /// `knn` for a batch of queries, parallelised across queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-        k: usize,
-    ) -> Vec<(Vec<Neighbour>, SearchStats)> {
-        crate::parallel::par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            self.knn_prepared(&*prepared, k, f64::INFINITY)
-        })
-    }
 }
 
 impl<S: Symbol> MetricIndex<S> for Laesa<S> {
@@ -805,32 +524,6 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_core(&*prepared, limit, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead,
-        // so the first survivor is the true live NN.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_core(&*prepared, want, radius, limit);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -841,14 +534,11 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
             return Err(SearchError::EmptyDatabase);
         }
         let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
+        let limit = opts.pivot_budget.unwrap_or(usize::MAX);
         let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_core(&*prepared, want, radius, limit);
+        // Over-fetch: at most T of the top k + T answers can be dead.
+        let want = opts.k.saturating_add(self.tombstones.count());
+        let (mut best, stats) = self.knn_search(&*prepared, want, radius, limit);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
         opts.record(stats);
@@ -865,9 +555,9 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
             return Err(SearchError::EmptyDatabase);
         }
         let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
+        let limit = opts.pivot_budget.unwrap_or(usize::MAX);
         let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_core(&*prepared, radius, limit);
+        let (mut hits, stats) = self.range_search(&*prepared, radius, limit);
         self.tombstones.retain_live(&mut hits);
         opts.record(stats);
         Ok((hits, stats))
@@ -895,13 +585,8 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the deprecated forwarders' behaviour (they share
-    // cores with the MetricIndex path, so coverage is common) until
-    // the legacy surface is removed.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::linear::{linear_knn, linear_nn};
+    use crate::linear::LinearIndex;
     use crate::pivots::select_pivots_max_sum;
     use cned_core::contextual::heuristic::ContextualHeuristic;
     use cned_core::levenshtein::Levenshtein;
@@ -926,64 +611,108 @@ mod tests {
             .collect()
     }
 
+    /// A LAESA index over `db` with `p` max-sum pivots.
+    fn build(db: &[Vec<u8>], p: usize, dist: &dyn Distance<u8>) -> Laesa<u8> {
+        let pivots = select_pivots_max_sum(db, p, 0, dist);
+        Laesa::try_build(db.to_vec(), pivots, dist).unwrap()
+    }
+
+    fn nn(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+        opts: &QueryOptions,
+    ) -> (Neighbour, SearchStats) {
+        let (found, stats) = idx.nn(q, dist, opts).unwrap();
+        (found.expect("infinite radius always finds"), stats)
+    }
+
+    fn knn(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+        k: usize,
+    ) -> Vec<Neighbour> {
+        idx.knn(q, dist, &QueryOptions::new().k(k)).unwrap().0
+    }
+
+    fn key(ns: &[Neighbour]) -> Vec<(usize, u64)> {
+        ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+    }
+
     #[test]
-    fn empty_db_returns_none() {
-        let idx: Laesa<u8> = Laesa::build(Vec::new(), Vec::new(), &Levenshtein);
-        assert!(idx.nn(b"abc", &Levenshtein).is_none());
+    fn empty_db_is_a_typed_error() {
+        let idx: Laesa<u8> = Laesa::try_build(Vec::new(), Vec::new(), &Levenshtein).unwrap();
+        assert_eq!(
+            idx.nn(b"abc", &Levenshtein, &QueryOptions::new())
+                .unwrap_err(),
+            SearchError::EmptyDatabase
+        );
     }
 
     #[test]
     fn finds_exact_member() {
         let db = corpus(50, 8, 3, 7);
-        let pivots = select_pivots_max_sum(&db, 5, 0, &Levenshtein);
-        let probe = db[17].clone();
-        let idx = Laesa::build(db, pivots, &Levenshtein);
-        let (nn, _) = idx.nn(&probe, &Levenshtein).unwrap();
+        let idx = build(&db, 5, &Levenshtein);
+        let (nn, _) = nn(&idx, &db[17], &Levenshtein, &QueryOptions::new());
         assert_eq!(nn.distance, 0.0);
-        assert_eq!(idx.database()[nn.index], probe);
+        assert_eq!(idx.database()[nn.index], db[17]);
+    }
+
+    /// LAESA's NN distance agrees with the linear scan's within `tol`
+    /// for every query.
+    fn agrees_with_linear_scan(
+        db: &[Vec<u8>],
+        queries: &[Vec<u8>],
+        p: usize,
+        dist: &dyn Distance<u8>,
+        tol: f64,
+    ) {
+        let idx = build(db, p, dist);
+        let oracle = LinearIndex::new(db.to_vec());
+        let opts = QueryOptions::new();
+        for q in queries {
+            let (l_nn, _) = nn(&oracle, q, dist, &opts);
+            let (a_nn, _) = nn(&idx, q, dist, &opts);
+            assert!((a_nn.distance - l_nn.distance).abs() <= tol, "query {q:?}");
+        }
     }
 
     #[test]
     fn agrees_with_linear_scan_for_levenshtein() {
-        let db = corpus(120, 10, 3, 11);
-        let queries = corpus(40, 10, 3, 99);
-        let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(a_nn.distance, l_nn.distance, "query {q:?}");
-        }
+        agrees_with_linear_scan(
+            &corpus(120, 10, 3, 11),
+            &corpus(40, 10, 3, 99),
+            8,
+            &Levenshtein,
+            0.0,
+        );
     }
 
     #[test]
     fn agrees_with_linear_scan_for_yujian_bo() {
-        let db = corpus(100, 9, 3, 5);
-        let queries = corpus(30, 9, 3, 123);
-        let pivots = select_pivots_max_sum(&db, 10, 0, &YujianBo);
-        let idx = Laesa::build(db.clone(), pivots, &YujianBo);
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &YujianBo).unwrap();
-            let (a_nn, _) = idx.nn(q, &YujianBo).unwrap();
-            assert!((a_nn.distance - l_nn.distance).abs() < 1e-12, "query {q:?}");
-        }
+        agrees_with_linear_scan(
+            &corpus(100, 9, 3, 5),
+            &corpus(30, 9, 3, 123),
+            10,
+            &YujianBo,
+            1e-12,
+        );
     }
 
     #[test]
     fn agrees_with_linear_scan_for_contextual_heuristic() {
         // d_C,h is not formally a metric, but in practice (and in the
         // paper's Table 2) LAESA over it returns the linear-scan result
-        // on natural data. If this ever flakes the assertion below
-        // should be relaxed — with this fixed corpus it holds.
-        let db = corpus(100, 9, 3, 21);
-        let queries = corpus(30, 9, 3, 77);
-        let pivots = select_pivots_max_sum(&db, 10, 0, &ContextualHeuristic);
-        let idx = Laesa::build(db.clone(), pivots, &ContextualHeuristic);
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &ContextualHeuristic).unwrap();
-            let (a_nn, _) = idx.nn(q, &ContextualHeuristic).unwrap();
-            assert!((a_nn.distance - l_nn.distance).abs() < 1e-9, "query {q:?}");
-        }
+        // on natural data. If this ever flakes the assertion should be
+        // relaxed — with this fixed corpus it holds.
+        agrees_with_linear_scan(
+            &corpus(100, 9, 3, 21),
+            &corpus(30, 9, 3, 77),
+            10,
+            &ContextualHeuristic,
+            1e-9,
+        );
     }
 
     #[test]
@@ -995,16 +724,14 @@ mod tests {
         // grow concurrently, so `>` is race-safe.
         use cned_core::contextual::bounded::gate_rejections;
         use cned_core::contextual::exact::Contextual;
-        let db = corpus(80, 9, 3, 29);
-        let queries = corpus(15, 9, 3, 291);
-        let pivots = select_pivots_max_sum(&db, 8, 0, &Contextual);
-        let idx = Laesa::build(db.clone(), pivots, &Contextual);
         let gates_before = gate_rejections();
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Contextual).unwrap();
-            let (a_nn, _) = idx.nn(q, &Contextual).unwrap();
-            assert!((a_nn.distance - l_nn.distance).abs() < 1e-12, "query {q:?}");
-        }
+        agrees_with_linear_scan(
+            &corpus(80, 9, 3, 29),
+            &corpus(15, 9, 3, 291),
+            8,
+            &Contextual,
+            1e-12,
+        );
         assert!(
             gate_rejections() > gates_before,
             "searching d_C should reject candidates through the bounded gates"
@@ -1015,13 +742,15 @@ mod tests {
     fn uses_fewer_computations_than_linear_scan() {
         let db = corpus(300, 10, 3, 31);
         let queries = corpus(20, 10, 3, 301);
-        let pivots = select_pivots_max_sum(&db, 24, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
-        let mut total = 0u64;
-        for q in &queries {
-            let (_, stats) = idx.nn(q, &Levenshtein).unwrap();
-            total += stats.distance_computations;
-        }
+        let idx = build(&db, 24, &Levenshtein);
+        let total: u64 = queries
+            .iter()
+            .map(|q| {
+                nn(&idx, q, &Levenshtein, &QueryOptions::new())
+                    .1
+                    .distance_computations
+            })
+            .sum();
         let avg = total as f64 / queries.len() as f64;
         assert!(
             avg < db.len() as f64 * 0.8,
@@ -1033,10 +762,9 @@ mod tests {
     #[test]
     fn computation_count_never_exceeds_db_size() {
         let db = corpus(80, 8, 2, 13);
-        let pivots = select_pivots_max_sum(&db, 6, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(&db, 6, &Levenshtein);
         for q in corpus(20, 8, 2, 44) {
-            let (_, stats) = idx.nn(&q, &Levenshtein).unwrap();
+            let (_, stats) = nn(&idx, &q, &Levenshtein, &QueryOptions::new());
             assert!(stats.distance_computations <= db.len() as u64);
         }
     }
@@ -1044,12 +772,11 @@ mod tests {
     #[test]
     fn knn_matches_linear_scan_distances() {
         let db = corpus(150, 9, 3, 17);
-        let queries = corpus(15, 9, 3, 171);
-        let pivots = select_pivots_max_sum(&db, 12, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
-        for q in &queries {
-            let (l_knn, _) = linear_knn(&db, q, &Levenshtein, 5);
-            let (a_knn, _) = idx.knn(q, &Levenshtein, 5);
+        let idx = build(&db, 12, &Levenshtein);
+        let oracle = LinearIndex::new(db);
+        for q in corpus(15, 9, 3, 171) {
+            let l_knn = knn(&oracle, &q, &Levenshtein, 5);
+            let a_knn = knn(&idx, &q, &Levenshtein, 5);
             assert_eq!(a_knn.len(), 5);
             let ld: Vec<f64> = l_knn.iter().map(|n| n.distance).collect();
             let ad: Vec<f64> = a_knn.iter().map(|n| n.distance).collect();
@@ -1060,10 +787,12 @@ mod tests {
     #[test]
     fn zero_pivots_degenerates_to_near_exhaustive_but_stays_correct() {
         let db = corpus(60, 8, 3, 23);
-        let idx = Laesa::build(db.clone(), Vec::new(), &Levenshtein);
+        let idx = build(&db, 0, &Levenshtein);
+        let oracle = LinearIndex::new(db.clone());
+        let opts = QueryOptions::new();
         for q in corpus(10, 8, 3, 67) {
-            let (l_nn, _) = linear_nn(&db, &q, &Levenshtein).unwrap();
-            let (a_nn, stats) = idx.nn(&q, &Levenshtein).unwrap();
+            let (l_nn, _) = nn(&oracle, &q, &Levenshtein, &opts);
+            let (a_nn, stats) = nn(&idx, &q, &Levenshtein, &opts);
             assert_eq!(a_nn.distance, l_nn.distance);
             // Without pivots there are no lower bounds: every element
             // must be computed.
@@ -1073,32 +802,27 @@ mod tests {
 
     #[test]
     fn preprocessing_count_is_pivots_times_n() {
-        let db = corpus(40, 8, 3, 3);
-        let pivots = select_pivots_max_sum(&db, 4, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
+        let idx = build(&corpus(40, 8, 3, 3), 4, &Levenshtein);
         assert_eq!(idx.preprocessing_computations(), 4 * 40);
     }
 
     #[test]
-    fn nn_limited_matches_dedicated_builds() {
-        // A prefix-limited query over a 20-pivot index must return the
+    fn pivot_budget_matches_dedicated_builds() {
+        // A budget-limited query over a 20-pivot index must return the
         // same neighbour (and computation count) as an index built
         // with only the prefix, because greedy selection is
         // incremental.
         let db = corpus(150, 9, 3, 53);
         let queries = corpus(10, 9, 3, 531);
         let pivots20 = select_pivots_max_sum(&db, 20, 0, &Levenshtein);
-        let big = Laesa::build(db.clone(), pivots20.clone(), &Levenshtein);
+        let big = Laesa::try_build(db.clone(), pivots20.clone(), &Levenshtein).unwrap();
         for p in [0usize, 3, 8, 20] {
-            let small = Laesa::build(db.clone(), pivots20[..p].to_vec(), &Levenshtein);
+            let small = Laesa::try_build(db.clone(), pivots20[..p].to_vec(), &Levenshtein).unwrap();
             for q in &queries {
-                let (nn_a, st_a) = big.nn_limited(q, &Levenshtein, p).unwrap();
-                let (nn_b, st_b) = small.nn(q, &Levenshtein).unwrap();
+                let (nn_a, st_a) = nn(&big, q, &Levenshtein, &QueryOptions::new().pivot_budget(p));
+                let (nn_b, st_b) = nn(&small, q, &Levenshtein, &QueryOptions::new());
                 assert_eq!(nn_a.distance, nn_b.distance, "p={p} q={q:?}");
-                assert_eq!(
-                    st_a.distance_computations, st_b.distance_computations,
-                    "p={p} q={q:?}"
-                );
+                assert_eq!(st_a, st_b, "p={p} q={q:?}");
             }
         }
     }
@@ -1107,17 +831,12 @@ mod tests {
     fn more_pivots_monotonically_reduce_computations_on_average() {
         let db = corpus(250, 10, 3, 61);
         let queries = corpus(30, 10, 3, 611);
-        let pivots = select_pivots_max_sum(&db, 64, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
+        let idx = build(&db, 64, &Levenshtein);
         let avg = |p: usize| -> f64 {
+            let opts = QueryOptions::new().pivot_budget(p);
             let total: u64 = queries
                 .iter()
-                .map(|q| {
-                    idx.nn_limited(q, &Levenshtein, p)
-                        .unwrap()
-                        .1
-                        .distance_computations
-                })
+                .map(|q| nn(&idx, q, &Levenshtein, &opts).1.distance_computations)
                 .sum();
             total as f64 / queries.len() as f64
         };
@@ -1128,13 +847,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate pivot")]
-    fn duplicate_pivots_still_panic_through_deprecated_build() {
-        let db = corpus(10, 5, 2, 1);
-        Laesa::build(db, vec![1, 1], &Levenshtein);
-    }
-
-    #[test]
     fn bad_pivots_are_typed_errors() {
         let db = corpus(10, 5, 2, 1);
         assert_eq!(
@@ -1142,11 +854,20 @@ mod tests {
             SearchError::DuplicatePivot { pivot: 1 }
         );
         assert_eq!(
-            Laesa::try_build(db, vec![10], &Levenshtein).unwrap_err(),
+            Laesa::try_build(db.clone(), vec![10], &Levenshtein).unwrap_err(),
             SearchError::PivotOutOfRange { pivot: 10, len: 10 }
         );
+        // The snapshot-restore path validates pivots the same way.
+        let rows = vec![vec![0.0; 10]; 2];
+        assert_eq!(
+            Laesa::from_parts(db.clone(), vec![3, 3], rows.clone(), 0).unwrap_err(),
+            SearchError::DuplicatePivot { pivot: 3 }
+        );
+        assert_eq!(
+            Laesa::from_parts(db, vec![2, 12], rows, 0).unwrap_err(),
+            SearchError::PivotOutOfRange { pivot: 12, len: 10 }
+        );
     }
-
     #[test]
     fn range_matches_linear_scan_filter() {
         let db = corpus(120, 9, 3, 91);
@@ -1203,61 +924,22 @@ mod tests {
     }
 
     #[test]
-    fn trait_path_matches_legacy_inherent_path() {
-        let db = corpus(100, 9, 3, 95);
-        let queries = corpus(15, 9, 3, 951);
-        let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::try_build(db, pivots, &Levenshtein).unwrap();
-        let dyn_idx: &dyn MetricIndex<u8> = &idx;
-        for q in &queries {
-            let (legacy, lstats) = idx.nn(q, &Levenshtein).unwrap();
-            let (nb, stats) = dyn_idx.nn(q, &Levenshtein, &QueryOptions::new()).unwrap();
-            let nb = nb.unwrap();
-            assert_eq!(
-                (nb.index, nb.distance.to_bits()),
-                (legacy.index, legacy.distance.to_bits())
-            );
-            assert_eq!(stats, lstats, "query {q:?}");
-            // pivot_budget reproduces nn_limited.
-            for limit in [0usize, 3, 8] {
-                let (legacy, lstats) = idx.nn_limited(q, &Levenshtein, limit).unwrap();
-                let opts = QueryOptions::new().pivot_budget(limit);
-                let (nb, stats) = dyn_idx.nn(q, &Levenshtein, &opts).unwrap();
-                let nb = nb.unwrap();
-                assert_eq!(nb.distance.to_bits(), legacy.distance.to_bits());
-                assert_eq!(stats, lstats, "query {q:?} limit {limit}");
-            }
-            let (lknn, lkstats) = idx.knn(q, &Levenshtein, 4);
-            let (knn, kstats) = dyn_idx
-                .knn(q, &Levenshtein, &QueryOptions::new().k(4))
-                .unwrap();
-            let key = |ns: &[Neighbour]| -> Vec<(usize, u64)> {
-                ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
-            };
-            assert_eq!(key(&knn), key(&lknn), "query {q:?}");
-            assert_eq!(kstats, lkstats);
-        }
-    }
-
-    #[test]
     fn batch_queries_match_single_queries() {
         let db = corpus(120, 10, 3, 57);
         let queries = corpus(25, 10, 3, 571);
-        let pivots = select_pivots_max_sum(&db, 10, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
-        let batch = idx.nn_batch(&queries, &Levenshtein).unwrap();
+        let idx = build(&db, 10, &Levenshtein);
+        let opts = QueryOptions::new().threads(3);
+        let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
         assert_eq!(batch.len(), queries.len());
-        for (q, (nn, stats)) in queries.iter().zip(&batch) {
-            let (snn, sstats) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(nn.distance, snn.distance, "query {q:?}");
-            assert_eq!(stats.distance_computations, sstats.distance_computations);
+        for (q, (found, stats)) in queries.iter().zip(&batch) {
+            let (snn, sstats) = nn(&idx, q, &Levenshtein, &opts);
+            assert_eq!(found.unwrap().distance, snn.distance, "query {q:?}");
+            assert_eq!(*stats, sstats);
         }
-        let kbatch = idx.knn_batch(&queries, &Levenshtein, 4);
+        let kopts = QueryOptions::new().k(4).threads(3);
+        let kbatch = idx.knn_batch(&queries, &Levenshtein, &kopts).unwrap();
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
-            let (snns, _) = idx.knn(q, &Levenshtein, 4);
-            let bd: Vec<f64> = nns.iter().map(|n| n.distance).collect();
-            let sd: Vec<f64> = snns.iter().map(|n| n.distance).collect();
-            assert_eq!(bd, sd, "query {q:?}");
+            assert_eq!(key(nns), key(&knn(&idx, q, &Levenshtein, 4)), "query {q:?}");
         }
     }
 
@@ -1270,63 +952,51 @@ mod tests {
         let mut db = corpus(60, 6, 2, 41);
         let dups: Vec<Vec<u8>> = db.iter().take(10).cloned().collect();
         db.extend(dups);
-        let queries = corpus(20, 6, 2, 411);
-        let pivots = select_pivots_max_sum(&db, 6, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
-        for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(a_nn.index, l_nn.index, "nn index mismatch on {q:?}");
-            assert_eq!(a_nn.distance, l_nn.distance);
-            let (l_knn, _) = linear_knn(&db, q, &Levenshtein, 5);
-            let (a_knn, _) = idx.knn(q, &Levenshtein, 5);
-            let li: Vec<(usize, u64)> = l_knn
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            let ai: Vec<(usize, u64)> = a_knn
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            assert_eq!(ai, li, "knn mismatch on {q:?}");
+        let idx = build(&db, 6, &Levenshtein);
+        let oracle = LinearIndex::new(db);
+        let opts = QueryOptions::new();
+        for q in corpus(20, 6, 2, 411) {
+            let (l_nn, _) = nn(&oracle, &q, &Levenshtein, &opts);
+            let (a_nn, _) = nn(&idx, &q, &Levenshtein, &opts);
+            assert_eq!(
+                (a_nn.index, a_nn.distance.to_bits()),
+                (l_nn.index, l_nn.distance.to_bits()),
+                "nn mismatch on {q:?}"
+            );
+            assert_eq!(
+                key(&knn(&idx, &q, &Levenshtein, 5)),
+                key(&knn(&oracle, &q, &Levenshtein, 5)),
+                "knn mismatch on {q:?}"
+            );
         }
     }
 
     #[test]
     fn prepared_radius_queries_match_plain_queries() {
-        // nn_prepared at an infinite radius is nn; at the exact best
-        // distance it still finds the neighbour (<= admission); just
-        // below it finds nothing.
+        // knn_search at an infinite radius is knn; as a 1-NN seeded at
+        // the exact best distance it still finds the neighbour (<=
+        // admission); just below it finds nothing.
         let db = corpus(80, 8, 3, 47);
-        let queries = corpus(10, 8, 3, 471);
-        let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
-        for q in &queries {
-            let (nn, stats) = idx.nn(q, &Levenshtein).unwrap();
-            let prepared = cned_core::metric::Distance::<u8>::prepare(&Levenshtein, q);
-            let (p_nn, p_stats) = idx.nn_prepared(&*prepared, f64::INFINITY);
-            let p_nn = p_nn.unwrap();
-            assert_eq!((p_nn.index, p_nn.distance), (nn.index, nn.distance));
+        let idx = build(&db, 8, &Levenshtein);
+        for q in corpus(10, 8, 3, 471) {
+            let (nn, stats) = nn(&idx, &q, &Levenshtein, &QueryOptions::new());
+            let prepared = Distance::<u8>::prepare(&Levenshtein, &q);
+            let all = usize::MAX;
+            let (p_nn, p_stats) = idx.knn_search(&*prepared, 1, f64::INFINITY, all);
+            assert_eq!(key(&p_nn), key(&[nn]));
             assert_eq!(p_stats, stats);
-            let (at, _) = idx.nn_prepared(&*prepared, nn.distance);
-            let at = at.unwrap();
-            assert_eq!((at.index, at.distance), (nn.index, nn.distance));
+            let (at, _) = idx.knn_search(&*prepared, 1, nn.distance, all);
+            assert_eq!(key(&at), key(&[nn]));
             if nn.distance > 0.0 {
-                let (below, _) = idx.nn_prepared(&*prepared, nn.distance - 0.5);
-                assert!(below.is_none(), "query {q:?}");
+                let (below, _) = idx.knn_search(&*prepared, 1, nn.distance - 0.5, all);
+                assert!(below.is_empty(), "query {q:?}");
             }
-            // knn via the prepared radius path agrees with plain knn.
-            let (knns, _) = idx.knn(q, &Levenshtein, 4);
-            let (p_knns, _) = idx.knn_prepared(&*prepared, 4, f64::INFINITY);
-            let a: Vec<(usize, u64)> = knns
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            let b: Vec<(usize, u64)> = p_knns
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            assert_eq!(a, b, "query {q:?}");
+            let (p_knns, _) = idx.knn_search(&*prepared, 4, f64::INFINITY, all);
+            assert_eq!(
+                key(&p_knns),
+                key(&knn(&idx, &q, &Levenshtein, 4)),
+                "query {q:?}"
+            );
         }
     }
 
@@ -1335,23 +1005,22 @@ mod tests {
         // Force a multi-threaded build even on a single-core box and
         // check the index is bit-identical to the sequential one.
         let db = corpus(90, 9, 3, 63);
-        let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
         let _guard = crate::TEST_ENV_LOCK.lock().unwrap();
         crate::parallel::set_thread_override(Some(4));
-        let parallel = Laesa::build(db.clone(), pivots.clone(), &Levenshtein);
+        let parallel = build(&db, 8, &Levenshtein);
         crate::parallel::set_thread_override(Some(1));
-        let sequential = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let sequential = build(&db, 8, &Levenshtein);
         crate::parallel::set_thread_override(None);
         assert_eq!(parallel.rows, sequential.rows);
         assert_eq!(
             parallel.preprocessing_computations(),
             sequential.preprocessing_computations()
         );
+        let opts = QueryOptions::new();
         for q in corpus(10, 9, 3, 631) {
-            let (a, _) = parallel.nn(&q, &Levenshtein).unwrap();
-            let (b, _) = sequential.nn(&q, &Levenshtein).unwrap();
-            assert_eq!(a.distance, b.distance);
-            assert_eq!(a.index, b.index);
+            let (a, _) = nn(&parallel, &q, &Levenshtein, &opts);
+            let (b, _) = nn(&sequential, &q, &Levenshtein, &opts);
+            assert_eq!((a.index, a.distance), (b.index, b.distance));
         }
     }
 }

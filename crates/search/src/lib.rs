@@ -33,16 +33,16 @@
 //! Beyond the paper's algorithms, this crate provides the plumbing
 //! that makes them fast on real hardware:
 //!
-//! * **parallel preprocessing** — [`Aesa::build`] and [`Laesa::build`]
-//!   fan their `n·(n−1)/2` / `p·n` distance loops across cores
-//!   ([`parallel`]);
+//! * **parallel preprocessing** — [`Aesa::build`] and
+//!   [`Laesa::try_build`] fan their `n·(n−1)/2` / `p·n` distance
+//!   loops across cores ([`parallel`]);
 //! * **batch queries** — `nn_batch`/`knn_batch` on linear scan, LAESA
 //!   and AESA parallelise across queries and reuse each query's
 //!   prepared form ([`cned_core::metric::Distance::prepare`], the
 //!   Myers `Peq` bitmap cache for `d_E`) across the whole database;
 //! * **bounded evaluation** — comparisons whose exact value is only
-//!   needed when it beats the running best (linear nn/k-NN scans,
-//!   LAESA non-pivot candidates) are requested through
+//!   needed when it beats the running best (linear k-NN scans, LAESA
+//!   non-pivot candidates) are requested through
 //!   [`cned_core::metric::Distance::distance_bounded`] with that best
 //!   as the budget, so engines with early exit (bit-parallel `d_E`)
 //!   abandon hopeless comparisons. Pivot distances, AESA elements and
@@ -60,13 +60,13 @@
 //!
 //! Every backend — [`LinearIndex`], [`Laesa`], [`Aesa`], [`VpTree`],
 //! and `cned-serve`'s `ShardedIndex` — implements the object-safe
-//! [`MetricIndex`] trait: `nn` / `knn` / `range` / `nn_batch` /
-//! `knn_batch`, all driven by a [`QueryOptions`] struct (radius seed,
-//! `k`, pivot budget, worker override, stats sink) and returning
-//! `Result<_, `[`SearchError`]`>` instead of panicking. Range (radius)
-//! search is answered with triangle-inequality pruning on every
-//! backend. The pre-trait inherent methods and free functions remain
-//! as `#[deprecated]` forwarders for one release.
+//! [`MetricIndex`] trait: `knn` / `range` plus the provided `nn` /
+//! `nn_batch` / `knn_batch`, all driven by a [`QueryOptions`] struct
+//! (radius seed, `k`, pivot budget, worker override, stats sink) and
+//! returning `Result<_, `[`SearchError`]`>` instead of panicking.
+//! Each backend has one k-NN core (NN is its `k = 1` case) and one
+//! range core; range (radius) search is answered with
+//! triangle-inequality pruning on every backend.
 
 // No unsafe here, enforced at compile time (and by cned-lint).
 #![forbid(unsafe_code)]
@@ -88,8 +88,6 @@ pub use error::SearchError;
 pub use index::{InsertableIndex, MetricIndex, QueryOptions};
 pub use laesa::Laesa;
 pub use linear::LinearIndex;
-#[allow(deprecated)]
-pub use linear::{linear_knn, linear_knn_batch, linear_nn, linear_nn_batch};
 pub use parallel::{num_threads, par_map, par_map_with, workers_for};
 pub use pivots::{select_pivots_max_sum, select_pivots_random};
 pub use tombstone::TombstoneSet;
@@ -112,28 +110,16 @@ pub struct Neighbour {
 }
 
 impl Neighbour {
-    /// Whether this candidate beats `incumbent` under the canonical
-    /// result ordering: ascending distance, ties broken by **ascending
-    /// database index**.
-    ///
-    /// Every search path — linear scan, LAESA, AESA, and the sharded
-    /// serving layer — resolves equal-distance ties with this rule, so
-    /// results cannot diverge between serial, batch and sharded
-    /// execution just because they visit candidates in different
-    /// orders. Distances are compared with [`f64::total_cmp`]; an
-    /// infinite distance (the "nothing found within the radius"
-    /// sentinel) never wins a tie.
-    pub fn better_than(&self, incumbent: &Neighbour) -> bool {
-        match self.distance.total_cmp(&incumbent.distance) {
-            core::cmp::Ordering::Less => true,
-            core::cmp::Ordering::Equal => self.distance.is_finite() && self.index < incumbent.index,
-            core::cmp::Ordering::Greater => false,
-        }
-    }
-
     /// The canonical result ordering (ascending distance, then
     /// ascending index) as a total order, for sorting and merging
     /// neighbour lists.
+    ///
+    /// Every search path — linear scan, LAESA, AESA, vp-tree and the
+    /// sharded serving layer — keeps its answers in this order, so
+    /// equal-distance ties resolve to the smallest database index and
+    /// results cannot diverge between serial, batch and sharded
+    /// execution just because they visit candidates in different
+    /// orders. Distances are compared with [`f64::total_cmp`].
     pub fn ordering(&self, other: &Neighbour) -> core::cmp::Ordering {
         self.distance
             .total_cmp(&other.distance)

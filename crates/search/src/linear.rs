@@ -7,9 +7,9 @@
 //! backends' tests.
 //!
 //! The public surface is [`LinearIndex`], the simplest
-//! [`MetricIndex`] implementation; the free
-//! functions (`linear_nn`, …) are the pre-trait API, kept as
-//! deprecated forwarders for one release.
+//! [`MetricIndex`] implementation, plus the lane-batched sweeps it is
+//! built from ([`scan_knn_into`], [`scan_range_into`]), which the
+//! sharded serving layer reuses for its delta shard.
 //!
 //! Even the exhaustive scan benefits from the throughput machinery:
 //! the query is [prepared](cned_core::metric::Distance::prepare) once
@@ -19,66 +19,28 @@
 
 use crate::error::SearchError;
 use crate::index::{InsertableIndex, MetricIndex, QueryOptions};
-use crate::parallel::par_map;
 use crate::tombstone::TombstoneSet;
 use crate::{Neighbour, SearchStats};
 use cned_core::lanes::LANES;
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 
-/// Advance a running nearest-neighbour incumbent over `db` in
-/// lane-sized bounded batches (database indices offset by `base`).
-///
-/// Each batch of up to [`LANES`] candidates is scored through
-/// [`PreparedQuery::distance_to_batch_bounded`] with the incumbent at
-/// the batch boundary as the shared budget. The budget is only ever
-/// *looser* than the serial per-candidate budget, so the admitted set
-/// is a superset of the serial one — and since admission into `best`
-/// still goes through [`Neighbour::better_than`], the final incumbent
-/// (index and distance bits) is identical to the one-at-a-time scan.
-///
-/// Shared by [`LinearIndex`], the LAESA candidate phase and the
-/// sharded serving layer's delta-shard scans, so every exhaustive
-/// sweep in the workspace rides the lane kernels.
-pub fn nn_scan_into<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    base: usize,
-    best: &mut Neighbour,
-) {
-    let mut out = [None; LANES];
-    let mut refs: [&[S]; LANES] = [&[]; LANES];
-    for (c, chunk) in db.chunks(LANES).enumerate() {
-        for (i, item) in chunk.iter().enumerate() {
-            refs[i] = item;
-        }
-        prepared.distance_to_batch_bounded(
-            &refs[..chunk.len()],
-            best.distance,
-            &mut out[..chunk.len()],
-        );
-        for (i, d) in out[..chunk.len()].iter().enumerate() {
-            if let Some(d) = *d {
-                let candidate = Neighbour {
-                    index: base + c * LANES + i,
-                    distance: d,
-                };
-                if candidate.better_than(best) {
-                    *best = candidate;
-                }
-            }
-        }
-    }
-}
-
 /// Advance a sorted top-`k` list over `db` in lane-sized bounded
 /// batches (indices offset by `base`); `best` stays in canonical
 /// (distance, index) order and never exceeds `k` entries.
 ///
-/// Batch-boundary budgets admit a superset of the serial scan (see
-/// [`nn_scan_into`]); sorted insertion + truncation keeps the final
-/// list identical to it.
-pub fn knn_scan_into<S: Symbol>(
+/// Each batch of up to [`LANES`] candidates is scored through
+/// [`PreparedQuery::distance_to_batch_bounded`] with the `k`-th best
+/// at the batch boundary as the shared budget. That budget is only
+/// ever *looser* than the serial per-candidate budget, so the admitted
+/// set is a superset of the serial one, and sorted insertion +
+/// truncation keeps the final list (indices and distance bits)
+/// identical to the one-at-a-time scan.
+///
+/// Shared by [`LinearIndex`] and the sharded serving layer's
+/// delta-shard scans, so every exhaustive sweep in the workspace
+/// rides the lane kernels.
+pub fn scan_knn_into<S: Symbol>(
     db: &[Vec<S>],
     prepared: &dyn PreparedQuery<S>,
     k: usize,
@@ -130,7 +92,7 @@ pub fn knn_scan_into<S: Symbol>(
 /// in lane-sized batches (indices offset by `base`). The caller sorts;
 /// the fixed radius means batching cannot change the admitted set at
 /// all.
-pub fn range_scan_into<S: Symbol>(
+pub fn scan_range_into<S: Symbol>(
     db: &[Vec<S>],
     prepared: &dyn PreparedQuery<S>,
     radius: f64,
@@ -155,72 +117,6 @@ pub fn range_scan_into<S: Symbol>(
             }
         }
     }
-}
-
-/// Nearest neighbour of a prepared query within `radius` by
-/// exhaustive scan: `(None, stats)` when nothing lies within the
-/// radius. Shared by [`LinearIndex`] and the deprecated free
-/// functions.
-pub(crate) fn nn_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    radius: f64,
-) -> (Option<Neighbour>, SearchStats) {
-    // The radius doubles as a virtual incumbent: any real candidate at
-    // d <= radius beats it (usize::MAX loses every index tie-break,
-    // and an infinite distance never wins a tie).
-    let mut best = Neighbour {
-        index: usize::MAX,
-        distance: radius,
-    };
-    nn_scan_into(db, prepared, 0, &mut best);
-    let found = (best.index != usize::MAX).then_some(best);
-    (
-        found,
-        SearchStats {
-            distance_computations: db.len() as u64,
-        },
-    )
-}
-
-/// The `k` nearest neighbours of a prepared query within `radius`, in
-/// canonical (distance, index) order.
-pub(crate) fn knn_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    k: usize,
-    radius: f64,
-) -> (Vec<Neighbour>, SearchStats) {
-    let stats = SearchStats {
-        distance_computations: db.len() as u64,
-    };
-    // Current k best, kept sorted by the canonical (distance, index)
-    // ordering — the same rule every other search path uses, so equal-
-    // distance ties always resolve to the smallest database index and
-    // the k-th boundary admits d == kth only to be truncated away:
-    // exactly the sort-and-truncate outcome, independent of visit
-    // order.
-    let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(db.len()) + 1);
-    knn_scan_into(db, prepared, k, radius, 0, &mut best);
-    (best, stats)
-}
-
-/// Every element within `radius` (inclusive) of a prepared query, in
-/// canonical order.
-pub(crate) fn range_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    radius: f64,
-) -> (Vec<Neighbour>, SearchStats) {
-    let mut hits: Vec<Neighbour> = Vec::new();
-    range_scan_into(db, prepared, radius, 0, &mut hits);
-    hits.sort_by(|a, b| a.ordering(b));
-    (
-        hits,
-        SearchStats {
-            distance_computations: db.len() as u64,
-        },
-    )
 }
 
 /// The exhaustive-scan [`MetricIndex`]: no preprocessing, `n` distance
@@ -275,30 +171,6 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = nn_scan(&self.db, &*prepared, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: with T tombstones, at most T of the top 1+T
-        // answers can be dead, so the first survivor is the true NN.
-        let (hits, stats) = knn_scan(&self.db, &*prepared, 1 + self.tombstones.count(), radius);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -310,16 +182,19 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         }
         let radius = opts.checked_radius()?;
         let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (best, stats) = knn_scan(&self.db, &*prepared, opts.k, radius);
-            opts.record(stats);
-            return Ok((best, stats));
-        }
-        // Over-fetch k + T answers, filter the dead, truncate to k.
+        // Over-fetch k + T answers (T tombstones: at most T of them
+        // can be dead), filter the dead, truncate to k. The list is
+        // kept in the canonical (distance, index) order every other
+        // search path uses, so ties resolve to the smallest index
+        // independent of visit order.
         let want = opts.k.saturating_add(self.tombstones.count());
-        let (mut best, stats) = knn_scan(&self.db, &*prepared, want, radius);
+        let mut best = Vec::with_capacity(want.min(self.db.len()) + 1);
+        scan_knn_into(&self.db, &*prepared, want, radius, 0, &mut best);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
+        let stats = SearchStats {
+            distance_computations: self.db.len() as u64,
+        };
         opts.record(stats);
         Ok((best, stats))
     }
@@ -335,8 +210,13 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         }
         let radius = opts.checked_radius()?;
         let prepared = dist.prepare(query);
-        let (mut hits, stats) = range_scan(&self.db, &*prepared, radius);
+        let mut hits = Vec::new();
+        scan_range_into(&self.db, &*prepared, radius, 0, &mut hits);
+        hits.sort_by(|a, b| a.ordering(b));
         self.tombstones.retain_live(&mut hits);
+        let stats = SearchStats {
+            distance_computations: self.db.len() as u64,
+        };
         opts.record(stats);
         Ok((hits, stats))
     }
@@ -372,91 +252,8 @@ impl<S: Symbol> InsertableIndex<S> for LinearIndex<S> {
     }
 }
 
-/// Nearest neighbour of `query` in `db` by exhaustive scan.
-///
-/// Ties are broken towards the smallest database index (the canonical
-/// ordering of [`Neighbour::better_than`], shared with all backends).
-/// Returns `None` on an empty database.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::nn` (or the `cned::Database` facade)"
-)]
-pub fn linear_nn<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    query: &[S],
-    dist: &D,
-) -> Option<(Neighbour, SearchStats)> {
-    if db.is_empty() {
-        return None;
-    }
-    let prepared = dist.prepare(query);
-    let (found, stats) = nn_scan(db, &*prepared, f64::INFINITY);
-    found.map(|nb| (nb, stats))
-}
-
-/// The `k` nearest neighbours of `query` in `db`, sorted by increasing
-/// distance (ties towards smaller index). Returns fewer than `k`
-/// entries when the database is smaller than `k`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::knn` (or the `cned::Database` facade)"
-)]
-pub fn linear_knn<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    query: &[S],
-    dist: &D,
-    k: usize,
-) -> (Vec<Neighbour>, SearchStats) {
-    let prepared = dist.prepare(query);
-    knn_scan(db, &*prepared, k, f64::INFINITY)
-}
-
-/// `linear_nn` for a batch of queries, parallelised across queries;
-/// each worker prepares its query once. Returns `None` on an empty
-/// database (mirroring the single-query API).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::nn_batch` (or the `cned::Database` facade)"
-)]
-pub fn linear_nn_batch<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    queries: &[Vec<S>],
-    dist: &D,
-) -> Option<Vec<(Neighbour, SearchStats)>> {
-    if db.is_empty() {
-        return None;
-    }
-    Some(par_map(queries.len(), |q| {
-        let prepared = dist.prepare(&queries[q]);
-        let (found, stats) = nn_scan(db, &*prepared, f64::INFINITY);
-        (found.expect("database checked non-empty"), stats)
-    }))
-}
-
-/// `linear_knn` for a batch of queries, parallelised across queries.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::knn_batch` (or the `cned::Database` facade)"
-)]
-pub fn linear_knn_batch<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    queries: &[Vec<S>],
-    dist: &D,
-    k: usize,
-) -> Vec<(Vec<Neighbour>, SearchStats)> {
-    par_map(queries.len(), |q| {
-        let prepared = dist.prepare(&queries[q]);
-        knn_scan(db, &*prepared, k, f64::INFINITY)
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated free functions stay pinned by these tests until
-    // the forwarders are removed; they share their cores with
-    // `LinearIndex`, so this also covers the trait path's scan logic.
-    #![allow(deprecated)]
-
     use super::*;
     use cned_core::levenshtein::Levenshtein;
 
@@ -467,19 +264,26 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn finds_the_obvious_neighbour() {
-        let (nn, stats) = linear_nn(&db(), b"casa", &Levenshtein).unwrap();
-        assert_eq!(nn.index, 0);
-        assert_eq!(nn.distance, 0.0);
-        assert_eq!(stats.distance_computations, 5);
+    fn nn(db: Vec<Vec<u8>>, q: &[u8], dist: &dyn Distance<u8>) -> (Neighbour, SearchStats) {
+        let (found, stats) = LinearIndex::new(db)
+            .nn(q, dist, &QueryOptions::new())
+            .unwrap();
+        (found.expect("infinite radius always finds"), stats)
+    }
+
+    fn knn(db: Vec<Vec<u8>>, q: &[u8], dist: &dyn Distance<u8>, k: usize) -> Vec<Neighbour> {
+        LinearIndex::new(db)
+            .knn(q, dist, &QueryOptions::new().k(k))
+            .unwrap()
+            .0
     }
 
     #[test]
-    fn empty_db_returns_none() {
-        let db: Vec<Vec<u8>> = Vec::new();
-        assert!(linear_nn(&db, b"x", &Levenshtein).is_none());
-        assert!(linear_nn_batch(&db, &[b"x".to_vec()], &Levenshtein).is_none());
+    fn finds_the_obvious_neighbour() {
+        let (nn, stats) = nn(db(), b"casa", &Levenshtein);
+        assert_eq!(nn.index, 0);
+        assert_eq!(nn.distance, 0.0);
+        assert_eq!(stats.distance_computations, 5);
     }
 
     #[test]
@@ -518,22 +322,6 @@ mod tests {
                 idx.range(b"casa", &Levenshtein, &opts),
                 Err(SearchError::InvalidRadius { .. })
             ));
-        }
-    }
-
-    #[test]
-    fn trait_nn_matches_free_function() {
-        let idx = LinearIndex::new(db());
-        let opts = QueryOptions::new();
-        for q in [&b"casa"[..], b"tazas", b"", b"mesa"] {
-            let (legacy, lstats) = linear_nn(idx.database(), q, &Levenshtein).unwrap();
-            let (nb, stats) = idx.nn(q, &Levenshtein, &opts).unwrap();
-            let nb = nb.unwrap();
-            assert_eq!(
-                (nb.index, nb.distance.to_bits()),
-                (legacy.index, legacy.distance.to_bits())
-            );
-            assert_eq!(stats, lstats);
         }
     }
 
@@ -581,7 +369,7 @@ mod tests {
     #[test]
     fn tie_breaks_to_first_index() {
         let db: Vec<Vec<u8>> = vec![b"aa".to_vec(), b"bb".to_vec()];
-        let (nn, _) = linear_nn(&db, b"ab", &Levenshtein).unwrap();
+        let (nn, _) = nn(db, b"ab", &Levenshtein);
         assert_eq!(nn.index, 0);
     }
 
@@ -625,7 +413,7 @@ mod tests {
         // NaN flows through distance_to_bounded; the default
         // Distance::distance_bounded impl asserts there.
         let db: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"zz".to_vec()];
-        let _ = linear_nn(&db, b"zz", &BrokenCostTable);
+        let _ = nn(db, b"zz", &BrokenCostTable);
     }
 
     #[test]
@@ -635,12 +423,12 @@ mod tests {
         // is false), so the poisoned candidate is simply skipped and
         // the genuine zero-distance match still wins.
         let db: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"zz".to_vec()];
-        let (nn, _) = linear_nn(&db, b"zz", &BrokenCostTable).unwrap();
+        let (nn, _) = nn(db.clone(), b"zz", &BrokenCostTable);
         assert_eq!(nn.index, 1);
         assert_eq!(nn.distance, 0.0);
         // k-NN: the NaN candidate is rejected by the admission budget,
         // not inserted with a scrambled sort order.
-        let (nns, _) = linear_knn(&db, b"zz", &BrokenCostTable, 2);
+        let nns = knn(db, b"zz", &BrokenCostTable, 2);
         assert_eq!(nns.len(), 1);
         assert_eq!(nns[0].index, 1);
     }
@@ -655,14 +443,16 @@ mod tests {
             b"dup".to_vec(),
             b"dup".to_vec(),
         ];
-        let (nns, _) = linear_knn(&db, b"dup", &Levenshtein, 3);
+        let nns = knn(db, b"dup", &Levenshtein, 3);
         let idx: Vec<usize> = nns.iter().map(|n| n.index).collect();
         assert_eq!(idx, vec![0, 2, 3]);
     }
 
     #[test]
     fn knn_sorted_and_truncated() {
-        let (nns, stats) = linear_knn(&db(), b"casa", &Levenshtein, 3);
+        let (nns, stats) = LinearIndex::new(db())
+            .knn(b"casa", &Levenshtein, &QueryOptions::new().k(3))
+            .unwrap();
         assert_eq!(nns.len(), 3);
         assert!(nns.windows(2).all(|w| w[0].distance <= w[1].distance));
         assert_eq!(nns[0].index, 0);
@@ -671,19 +461,13 @@ mod tests {
 
     #[test]
     fn knn_with_k_larger_than_db() {
-        let (nns, _) = linear_knn(&db(), b"casa", &Levenshtein, 100);
+        let nns = knn(db(), b"casa", &Levenshtein, 100);
         assert_eq!(nns.len(), 5);
     }
 
     #[test]
     fn knn_zero_is_empty() {
-        let (nns, _) = linear_knn(&db(), b"casa", &Levenshtein, 0);
-        assert!(nns.is_empty());
-        let idx = LinearIndex::new(db());
-        let (nns, _) = idx
-            .knn(b"casa", &Levenshtein, &QueryOptions::new().k(0))
-            .unwrap();
-        assert!(nns.is_empty());
+        assert!(knn(db(), b"casa", &Levenshtein, 0).is_empty());
     }
 
     #[test]
@@ -700,8 +484,7 @@ mod tests {
 
     #[test]
     fn batch_matches_single_queries() {
-        let db = db();
-        let idx = LinearIndex::new(db.clone());
+        let idx = LinearIndex::new(db());
         let opts = QueryOptions::new().threads(3);
         let queries: Vec<Vec<u8>> = vec![
             b"casa".to_vec(),
@@ -722,7 +505,7 @@ mod tests {
             .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(2))
             .unwrap();
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
-            let (snns, _) = linear_knn(&db, q, &Levenshtein, 2);
+            let snns = knn(db(), q, &Levenshtein, 2);
             let bd: Vec<(usize, f64)> = nns.iter().map(|n| (n.index, n.distance)).collect();
             let sd: Vec<(usize, f64)> = snns.iter().map(|n| (n.index, n.distance)).collect();
             assert_eq!(bd, sd, "query {q:?}");

@@ -92,12 +92,6 @@ impl TombstoneSet {
         }
         hits.retain(|n| !self.contains(n.index));
     }
-
-    /// First live entry of an (ordered) answer list, for NN queries
-    /// answered by an over-fetched k-NN.
-    pub fn first_live(&self, hits: &[crate::Neighbour]) -> Option<crate::Neighbour> {
-        hits.iter().find(|n| !self.contains(n.index)).copied()
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +128,7 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_first_live() {
+    fn retain_live_keeps_order() {
         let mut t = TombstoneSet::new();
         t.insert(1);
         let hits = vec![
@@ -151,7 +145,6 @@ mod tests {
                 distance: 0.9,
             },
         ];
-        assert_eq!(t.first_live(&hits).map(|n| n.index), Some(4));
         let mut filtered = hits.clone();
         t.retain_live(&mut filtered);
         assert_eq!(

@@ -111,111 +111,24 @@ impl<S: Symbol> VpTree<S> {
         self.preprocessing_computations
     }
 
-    /// Nearest neighbour of `query`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        let prepared = dist.prepare(query);
-        let (found, stats) = self.nn_prepared(&*prepared, f64::INFINITY);
-        found.map(|nb| (nb, stats))
-    }
-
-    /// Nearest neighbour **within `radius`** of an already-prepared
-    /// query (`None` when nothing lies within it; statistics returned
-    /// either way). Ties resolve to the smallest database index, the
-    /// canonical ordering shared with every other backend.
-    pub fn nn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-        let mut computations = 0u64;
-        if let Some(root) = self.root.as_ref() {
-            self.search(root, prepared, &mut best, &mut computations);
-        }
-        let found = (best.index != usize::MAX).then_some(best);
-        (
-            found,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    fn search(
-        &self,
-        node: &Node,
-        prepared: &dyn PreparedQuery<S>,
-        best: &mut Neighbour,
-        computations: &mut u64,
-    ) {
-        // Vantage distances stay exact: their values drive the descent
-        // decisions, not just the incumbent comparison.
-        let d = sanitise_distance(prepared.distance_to(&self.db[node.vantage]));
-        *computations += 1;
-        let candidate = Neighbour {
-            index: node.vantage,
-            distance: d,
-        };
-        if candidate.better_than(best) {
-            *best = candidate;
-        }
-        // Visit the more promising side first; prune with the triangle
-        // inequality against the (possibly improved) best. The slack
-        // mirrors LAESA/AESA elimination: float rounding must only ever
-        // *admit* extra subtrees, never drop an exact tie.
-        let (first, second) = if d <= node.radius {
-            (&node.inside, &node.outside)
-        } else {
-            (&node.outside, &node.inside)
-        };
-        if let Some(child) = first {
-            // The first side always intersects the best-ball when we
-            // are on its side of the boundary.
-            self.search(child, prepared, best, computations);
-        }
-        if let Some(child) = second {
-            let crosses = if d <= node.radius {
-                // Second = outside: reachable iff d + best >= radius.
-                d + best.distance >= node.radius - crate::ELIMINATION_SLACK
-            } else {
-                // Second = inside: reachable iff d - best <= radius.
-                d - best.distance <= node.radius + crate::ELIMINATION_SLACK
-            };
-            if crosses {
-                self.search(child, prepared, best, computations);
-            }
-        }
-    }
-
     /// The `k` nearest neighbours **within `radius`** of an
-    /// already-prepared query, in canonical order. Pruning uses the
-    /// running `k`-th-best distance (the admission radius while fewer
-    /// than `k` are known).
-    pub fn knn_prepared(
+    /// already-prepared query, in canonical order (ties resolve to the
+    /// smallest database index). Pruning uses the running `k`-th-best
+    /// distance (the admission radius while fewer than `k` are known).
+    /// Nearest-neighbour search is the `k = 1` case.
+    fn knn_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         k: usize,
         radius: f64,
     ) -> (Vec<Neighbour>, SearchStats) {
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
+        // Sized by the corpus, never by `k` alone: `k` arrives straight
+        // off the wire.
+        let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(self.db.len()) + 1);
         let mut computations = 0u64;
         if k > 0 {
             if let Some(root) = self.root.as_ref() {
-                self.search_knn(root, prepared, k, radius, &mut best, &mut computations);
+                self.descend_knn(root, prepared, k, radius, &mut best, &mut computations);
             }
         }
         (
@@ -226,7 +139,7 @@ impl<S: Symbol> VpTree<S> {
         )
     }
 
-    fn search_knn(
+    fn descend_knn(
         &self,
         node: &Node,
         prepared: &dyn PreparedQuery<S>,
@@ -242,6 +155,8 @@ impl<S: Symbol> VpTree<S> {
                 best[k - 1].distance
             }
         };
+        // Vantage distances stay exact: their values drive the descent
+        // decisions, not just the admission test.
         let d = sanitise_distance(prepared.distance_to(&self.db[node.vantage]));
         *computations += 1;
         if d.is_finite() && d <= radius {
@@ -255,23 +170,30 @@ impl<S: Symbol> VpTree<S> {
             best.insert(pos, candidate);
             best.truncate(k);
         }
+        // Visit the more promising side first; prune the other with
+        // the triangle inequality against the (possibly improved)
+        // bound. The slack mirrors LAESA/AESA elimination: float
+        // rounding must only ever *admit* extra subtrees, never drop
+        // an exact tie.
         let (first, second) = if d <= node.radius {
             (&node.inside, &node.outside)
         } else {
             (&node.outside, &node.inside)
         };
         if let Some(child) = first {
-            self.search_knn(child, prepared, k, radius, best, computations);
+            self.descend_knn(child, prepared, k, radius, best, computations);
         }
         if let Some(child) = second {
             let bound = kth(best);
             let crosses = if d <= node.radius {
+                // Second = outside: reachable iff d + bound >= radius.
                 d + bound >= node.radius - crate::ELIMINATION_SLACK
             } else {
+                // Second = inside: reachable iff d - bound <= radius.
                 d - bound <= node.radius + crate::ELIMINATION_SLACK
             };
             if crosses {
-                self.search_knn(child, prepared, k, radius, best, computations);
+                self.descend_knn(child, prepared, k, radius, best, computations);
             }
         }
     }
@@ -281,7 +203,7 @@ impl<S: Symbol> VpTree<S> {
     /// visited only when the query ball can intersect its region:
     /// *inside* requires `d(q, vp) − radius <= node.radius`, *outside*
     /// requires `d(q, vp) + radius >= node.radius`.
-    pub fn range_prepared(
+    fn range_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         radius: f64,
@@ -289,7 +211,7 @@ impl<S: Symbol> VpTree<S> {
         let mut hits: Vec<Neighbour> = Vec::new();
         let mut computations = 0u64;
         if let Some(root) = self.root.as_ref() {
-            self.search_range(root, prepared, radius, &mut hits, &mut computations);
+            self.descend_range(root, prepared, radius, &mut hits, &mut computations);
         }
         hits.sort_by(|a, b| a.ordering(b));
         (
@@ -300,7 +222,7 @@ impl<S: Symbol> VpTree<S> {
         )
     }
 
-    fn search_range(
+    fn descend_range(
         &self,
         node: &Node,
         prepared: &dyn PreparedQuery<S>,
@@ -320,14 +242,14 @@ impl<S: Symbol> VpTree<S> {
             // Anything inside is within node.radius of the vantage
             // point, so its distance to q is at least d - node.radius.
             if d - radius <= node.radius + crate::ELIMINATION_SLACK {
-                self.search_range(child, prepared, radius, hits, computations);
+                self.descend_range(child, prepared, radius, hits, computations);
             }
         }
         if let Some(child) = &node.outside {
             // Anything outside is beyond node.radius of the vantage
             // point, so its distance to q exceeds node.radius - d.
             if d + radius >= node.radius - crate::ELIMINATION_SLACK {
-                self.search_range(child, prepared, radius, hits, computations);
+                self.descend_range(child, prepared, radius, hits, computations);
             }
         }
     }
@@ -346,32 +268,6 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        // Prepared once per query (Myers Peq cache for d_E); every
-        // vantage-point comparison during the descent reuses it.
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_prepared(&*prepared, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_prepared(&*prepared, want, radius);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -382,13 +278,12 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
             return Err(SearchError::EmptyDatabase);
         }
         let radius = opts.checked_radius()?;
+        // Prepared once per query (Myers Peq cache for d_E); every
+        // vantage-point comparison during the descent reuses it.
         let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_prepared(&*prepared, want, radius);
+        // Over-fetch: at most T of the top k + T answers can be dead.
+        let want = opts.k.saturating_add(self.tombstones.count());
+        let (mut best, stats) = self.knn_search(&*prepared, want, radius);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
         opts.record(stats);
@@ -406,7 +301,7 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
         }
         let radius = opts.checked_radius()?;
         let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_prepared(&*prepared, radius);
+        let (mut hits, stats) = self.range_search(&*prepared, radius);
         self.tombstones.retain_live(&mut hits);
         opts.record(stats);
         Ok((hits, stats))
@@ -430,13 +325,8 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the deprecated forwarders' behaviour (they share
-    // cores with the MetricIndex path) until the legacy surface is
-    // removed.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::linear::linear_nn;
+    use crate::linear::LinearIndex;
     use cned_core::contextual::heuristic::ContextualHeuristic;
     use cned_core::levenshtein::Levenshtein;
 
@@ -461,16 +351,29 @@ mod tests {
             .collect()
     }
 
+    fn nn(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+    ) -> (Neighbour, SearchStats) {
+        let (found, stats) = idx.nn(q, dist, &QueryOptions::new()).unwrap();
+        (found.expect("infinite radius always finds"), stats)
+    }
+
     #[test]
-    fn empty_db_returns_none() {
+    fn empty_db_is_a_typed_error() {
         let t: VpTree<u8> = VpTree::build(Vec::new(), &Levenshtein);
-        assert!(t.nn(b"abc", &Levenshtein).is_none());
+        assert_eq!(
+            t.nn(b"abc", &Levenshtein, &QueryOptions::new())
+                .unwrap_err(),
+            SearchError::EmptyDatabase
+        );
     }
 
     #[test]
     fn singleton_db() {
         let t = VpTree::build(vec![b"hola".to_vec()], &Levenshtein);
-        let (nn, stats) = t.nn(b"ha", &Levenshtein).unwrap();
+        let (nn, stats) = nn(&t, b"ha", &Levenshtein);
         assert_eq!(nn.index, 0);
         assert_eq!(nn.distance, 2.0);
         assert_eq!(stats.distance_computations, 1);
@@ -481,9 +384,10 @@ mod tests {
         let db = corpus(200, 10, 3, 71);
         let queries = corpus(50, 10, 3, 711);
         let t = VpTree::build(db.clone(), &Levenshtein);
+        let oracle = LinearIndex::new(db);
         for q in &queries {
-            let (lin, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (nn, _) = t.nn(q, &Levenshtein).unwrap();
+            let (lin, _) = nn(&oracle, q, &Levenshtein);
+            let (nn, _) = nn(&t, q, &Levenshtein);
             assert_eq!(nn.distance, lin.distance, "query {q:?}");
         }
     }
@@ -493,9 +397,10 @@ mod tests {
         let db = corpus(150, 9, 3, 73);
         let queries = corpus(30, 9, 3, 731);
         let t = VpTree::build(db.clone(), &ContextualHeuristic);
+        let oracle = LinearIndex::new(db);
         for q in &queries {
-            let (lin, _) = linear_nn(&db, q, &ContextualHeuristic).unwrap();
-            let (nn, _) = t.nn(q, &ContextualHeuristic).unwrap();
+            let (lin, _) = nn(&oracle, q, &ContextualHeuristic);
+            let (nn, _) = nn(&t, q, &ContextualHeuristic);
             assert!((nn.distance - lin.distance).abs() < 1e-9, "query {q:?}");
         }
     }
@@ -507,7 +412,7 @@ mod tests {
         let t = VpTree::build(db.clone(), &Levenshtein);
         let total: u64 = queries
             .iter()
-            .map(|q| t.nn(q, &Levenshtein).unwrap().1.distance_computations)
+            .map(|q| nn(&t, q, &Levenshtein).1.distance_computations)
             .sum();
         let avg = total as f64 / queries.len() as f64;
         assert!(
@@ -532,7 +437,7 @@ mod tests {
         let db = corpus(100, 8, 3, 89);
         let probe = db[33].clone();
         let t = VpTree::build(db, &Levenshtein);
-        let (nn, _) = t.nn(&probe, &Levenshtein).unwrap();
+        let (nn, _) = nn(&t, &probe, &Levenshtein);
         assert_eq!(nn.distance, 0.0);
     }
 
@@ -574,10 +479,10 @@ mod tests {
         let dups: Vec<Vec<u8>> = db.iter().take(10).cloned().collect();
         db.extend(dups);
         let t = VpTree::build(db.clone(), &Levenshtein);
+        let oracle = LinearIndex::new(db);
         for q in corpus(15, 6, 2, 1011) {
-            let (lin, _) = linear_nn(&db, &q, &Levenshtein).unwrap();
-            let (found, _) = MetricIndex::nn(&t, &q, &Levenshtein, &QueryOptions::new()).unwrap();
-            let nn = found.unwrap();
+            let (lin, _) = nn(&oracle, &q, &Levenshtein);
+            let (nn, _) = nn(&t, &q, &Levenshtein);
             assert_eq!(nn.index, lin.index, "query {q:?}");
             assert_eq!(nn.distance.to_bits(), lin.distance.to_bits());
         }
@@ -586,16 +491,16 @@ mod tests {
     #[test]
     fn radius_seed_excludes_far_neighbours() {
         let db = corpus(80, 8, 3, 103);
-        let t = VpTree::build(db.clone(), &Levenshtein);
+        let t = VpTree::build(db, &Levenshtein);
         for q in corpus(8, 8, 3, 1031) {
-            let prepared = cned_core::metric::Distance::<u8>::prepare(&Levenshtein, &q);
-            let (nb, _) = t.nn_prepared(&*prepared, f64::INFINITY);
-            let nb = nb.unwrap();
-            let (at, _) = t.nn_prepared(&*prepared, nb.distance);
-            assert_eq!(at.unwrap().index, nb.index);
+            let (nb, _) = nn(&t, &q, &Levenshtein);
+            let seeded = |radius: f64| {
+                let opts = QueryOptions::new().radius(radius);
+                t.nn(&q, &Levenshtein, &opts).unwrap().0
+            };
+            assert_eq!(seeded(nb.distance).unwrap().index, nb.index);
             if nb.distance > 0.0 {
-                let (below, _) = t.nn_prepared(&*prepared, nb.distance - 0.5);
-                assert!(below.is_none(), "query {q:?}");
+                assert!(seeded(nb.distance - 0.5).is_none(), "query {q:?}");
             }
         }
     }

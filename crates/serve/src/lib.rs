@@ -15,8 +15,6 @@
 //!   [`cned_search::SearchError::Overloaded`] backpressure),
 //!   per-request ids on every [`Response`], and graceful draining
 //!   [`ServeSession::shutdown`];
-//! * [`pipeline`] — [`QueryPipeline`]: the batch entry point, a thin
-//!   wrapper running a whole request queue through a scoped session;
 //! * [`wire`] — the network protocol: versioned length-prefixed
 //!   binary frames (std-only, no serde/tokio) covering NN / k-NN /
 //!   range / insert, **batch frames** packing many requests (and
@@ -38,8 +36,8 @@
 //! Everything plugs into the unified query API: [`ShardedIndex`]
 //! implements [`cned_search::MetricIndex`] (NN / k-NN / **range** /
 //! batches, all through [`cned_search::QueryOptions`] with typed
-//! errors) and [`cned_search::InsertableIndex`], and sessions,
-//! pipelines and servers are generic over any [`cned_search::MetricIndex`]
+//! errors) and [`cned_search::InsertableIndex`], and sessions and
+//! servers are generic over any [`cned_search::MetricIndex`]
 //! — `ShardedIndex` is merely the default (non-insertable backends
 //! answer `Insert` requests with a typed failure).
 //!
@@ -87,7 +85,6 @@
 
 pub mod client;
 pub mod ordered;
-pub mod pipeline;
 mod poll;
 pub mod server;
 pub mod session;
@@ -96,11 +93,10 @@ pub mod wire;
 
 pub use client::{BatchTicket, Client, ClientConfig, ClientError};
 pub use ordered::{OrderedGuard, OrderedMutex};
-pub use pipeline::QueryPipeline;
 pub use poll::Doorbell;
 pub use server::{ReplOp, ReplicaHub, Server, ServerConfig};
 pub use session::{
     Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, SessionHandle, Ticket,
 };
-pub use sharded::{ShardConfig, ShardedIndex, ShardedStats};
+pub use sharded::{ShardConfig, ShardedIndex};
 pub use wire::{WireError, WireSymbol, BATCH_VERSION, CONTROL_ID, MAX_FRAME, WIRE_VERSION};

@@ -1,12 +1,10 @@
 //! The session/ticket serving API: [`ServeSession`] — a non-blocking
 //! handle over an index-owning scheduler thread.
 //!
-//! The batch API ([`crate::QueryPipeline::run`]) answers "here is a
-//! queue, block until every answer exists". A served workload is the
-//! opposite shape: requests trickle in from many callers, answers are
-//! wanted as soon as *their* chain completes, and the server must be
-//! able to say **no** when it falls behind. The session model covers
-//! that shape with three moves:
+//! A served workload arrives as a stream: requests trickle in from
+//! many callers, answers are wanted as soon as *their* chain
+//! completes, and the server must be able to say **no** when it falls
+//! behind. The session model covers that shape with three moves:
 //!
 //! * [`ServeSession::submit`] is non-blocking: it enqueues the request
 //!   and immediately returns a [`Ticket`] tagged with the request's
@@ -26,8 +24,8 @@
 //! ## Scheduling model
 //!
 //! One scheduler thread owns the index and pulls the queue in FIFO
-//! order with exactly the in-order/insert-barrier semantics of the
-//! batch pipeline: consecutive *queries* form a chunk answered in
+//! order with in-order/insert-barrier semantics: consecutive
+//! *queries* form a chunk answered in
 //! parallel across [`cned_search::workers_for`] workers (each worker
 //! pulls whole queries from an atomic cursor, so per-query preparation
 //! happens once and results are bit-identical for any worker count);
@@ -64,7 +62,7 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// One unit of work for a session or pipeline.
+/// One unit of work for a session.
 ///
 /// `PartialEq` compares the `Range` radius by value, so a NaN radius
 /// (which is still *served* — it answers `Failed`) compares unequal to
@@ -334,10 +332,8 @@ struct SessionState<S: Symbol> {
 }
 
 /// Queue + scheduling state shared between submitters and the
-/// scheduler (thread or scope). Lifetime-free: requests and responses
-/// are owned values, so the same machinery backs both the owned
-/// [`ServeSession`] and the scoped session inside
-/// [`crate::QueryPipeline::run`].
+/// scheduler thread. Lifetime-free: requests and responses are owned
+/// values.
 pub(crate) struct SessionShared<S: Symbol> {
     state: OrderedMutex<SessionState<S>>,
     /// Signalled on new work and on drain, waking the scheduler.
@@ -506,9 +502,7 @@ fn answer<S: Symbol, I: MetricIndex<S> + ?Sized>(
 /// The scheduler: runs until [`SessionShared::begin_drain`] *and* an
 /// empty queue, answering every accepted request along the way.
 ///
-/// Owned sessions run this on a dedicated thread holding the index;
-/// [`crate::QueryPipeline::run`] runs it on a scoped thread borrowing
-/// the pipeline's index — one code path, two ownership shapes.
+/// A session runs this on a dedicated thread holding the index.
 pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
     shared: &SessionShared<S>,
     index: &mut I,
@@ -606,8 +600,7 @@ pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
 
 /// A non-blocking serving handle: an index owned by a scheduler
 /// thread, driven through submit/ticket. See the module docs for the
-/// scheduling model and [`crate::QueryPipeline`] for the batch
-/// wrapper.
+/// scheduling model.
 ///
 /// `submit` takes `&self`, so one session can be shared (e.g. behind
 /// an [`Arc`]) by many threads or connection handlers; the scheduler

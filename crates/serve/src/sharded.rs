@@ -5,14 +5,14 @@
 //!
 //! Global result indices are positions in the concatenated database
 //! (shard 0's items, then shard 1's, …, then the delta shard), which
-//! for an index built by [`ShardedIndex::build`] is exactly the input
-//! order — so results are interchangeable with a single-index or
+//! for an index built by [`ShardedIndex::try_build`] is exactly the
+//! input order — so results are interchangeable with a single-index or
 //! linear-scan run over the same data.
 
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 use cned_search::laesa::Laesa;
-use cned_search::linear::{knn_scan_into, nn_scan_into, range_scan_into};
+use cned_search::linear::{scan_knn_into, scan_range_into};
 use cned_search::pivots::select_pivots_max_sum;
 use cned_search::{
     par_map, InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
@@ -54,23 +54,6 @@ struct Shard<S: Symbol> {
     /// Global index of this shard's first element.
     offset: usize,
     index: Laesa<S>,
-}
-
-/// Per-query statistics of a sharded search: one [`SearchStats`] per
-/// shard (in shard order) plus the delta-shard scan.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardedStats {
-    /// Statistics per LAESA shard, in shard order.
-    pub per_shard: Vec<SearchStats>,
-    /// Statistics of the linear delta-shard scan.
-    pub delta: SearchStats,
-}
-
-impl ShardedStats {
-    /// Totals across all shards and the delta scan.
-    pub fn total(&self) -> SearchStats {
-        self.per_shard.iter().fold(self.delta, |acc, s| acc + *s)
-    }
 }
 
 /// A database partitioned into `k` LAESA shards plus a delta shard.
@@ -151,21 +134,6 @@ impl<S: Symbol> ShardedIndex<S> {
             preprocessing_computations,
             tombstones: TombstoneSet::new(),
         })
-    }
-
-    /// Panicking variant of [`ShardedIndex::try_build`] (the internal
-    /// pivot selection cannot actually produce invalid pivots, so this
-    /// never panics in practice).
-    #[deprecated(since = "0.2.0", note = "use `ShardedIndex::try_build`")]
-    pub fn build<D: Distance<S> + ?Sized>(
-        db: Vec<Vec<S>>,
-        config: ShardConfig,
-        dist: &D,
-    ) -> ShardedIndex<S> {
-        match ShardedIndex::try_build(db, config, dist) {
-            Ok(index) => index,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// Total items (indexed shards + delta).
@@ -425,116 +393,34 @@ impl<S: Symbol> ShardedIndex<S> {
         merges
     }
 
-    /// Nearest neighbour of `query` across all shards; `None` on an
-    /// empty index. See [`ShardedIndex::nn_prepared`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, ShardedStats)> {
-        let prepared = dist.prepare(query);
-        self.nn_prepared(&*prepared)
-    }
-
-    /// Nearest neighbour of an already-prepared query.
+    /// The `k` nearest neighbours of an already-prepared query across
+    /// all shards and the delta shard, within `radius`, using each
+    /// shard's first `pivot_limit` pivots, in the canonical (distance,
+    /// ascending global index) order. Nearest-neighbour search is the
+    /// `k = 1` case.
     ///
-    /// Fans across shards in shard order, handing each shard the best
-    /// distance found so far as its pruning radius (the cross-shard
-    /// bound-propagation invariant — see the crate docs), then scans
-    /// the delta shard under the same running bound. Ties resolve to
-    /// the smallest global index: within a shard by the canonical
-    /// LAESA tie-break, across shards by the merge below (an equal-
-    /// distance find in a later shard never displaces an earlier one).
-    pub fn nn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-    ) -> Option<(Neighbour, ShardedStats)> {
-        let (found, stats) = self.nn_core(prepared, f64::INFINITY, usize::MAX);
-        found.map(|b| (b, stats))
-    }
-
-    fn nn_core(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        pivot_limit: usize,
-    ) -> (Option<Neighbour>, ShardedStats) {
-        let mut stats = ShardedStats::default();
-        // The search radius doubles as a virtual incumbent seeding the
-        // first shard's pruning; usize::MAX loses every index
-        // tie-break.
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-        for shard in &self.shards {
-            let (found, shard_stats) =
-                shard
-                    .index
-                    .nn_prepared_limited(prepared, best.distance, pivot_limit);
-            stats.per_shard.push(shard_stats);
-            if let Some(local) = found {
-                let candidate = Neighbour {
-                    index: shard.offset + local.index,
-                    distance: local.distance,
-                };
-                if candidate.better_than(&best) {
-                    best = candidate;
-                }
-            }
-        }
-        // Lane-batched linear sweep over the delta shard, seeded with
-        // the cross-shard incumbent.
-        nn_scan_into(&self.delta, prepared, self.indexed_len, &mut best);
-        stats.delta.distance_computations += self.delta.len() as u64;
-        ((best.index != usize::MAX).then_some(best), stats)
-    }
-
-    /// The `k` nearest neighbours of `query` across all shards, in the
-    /// canonical (distance, ascending global index) order. See
-    /// [`ShardedIndex::knn_prepared`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-        k: usize,
-    ) -> (Vec<Neighbour>, ShardedStats) {
-        let prepared = dist.prepare(query);
-        self.knn_prepared(&*prepared, k)
-    }
-
-    /// k-NN counterpart of [`ShardedIndex::nn_prepared`]: each shard
-    /// is queried with the running global k-th-best distance as its
-    /// radius, and per-shard results merge under the canonical
-    /// ordering.
-    pub fn knn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-    ) -> (Vec<Neighbour>, ShardedStats) {
-        self.knn_core(prepared, k, f64::INFINITY, usize::MAX)
-    }
-
-    fn knn_core(
+    /// Fans across shards in shard order, handing each shard the
+    /// running global `k`-th-best distance as its pruning radius (the
+    /// cross-shard bound-propagation invariant — see the crate docs),
+    /// then scans the delta shard under the same running bound. Ties
+    /// resolve to the smallest global index: within a shard by the
+    /// canonical LAESA tie-break, across shards by the sorted merge (an
+    /// equal-distance find in a later shard sorts after an earlier
+    /// one).
+    fn knn_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         k: usize,
         radius: f64,
         pivot_limit: usize,
-    ) -> (Vec<Neighbour>, ShardedStats) {
-        let mut stats = ShardedStats::default();
+    ) -> (Vec<Neighbour>, SearchStats) {
+        let mut stats = SearchStats::default();
         if k == 0 {
             return (Vec::new(), stats);
         }
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
+        // Sized by the corpus, never by `k` alone: `k` arrives straight
+        // off the wire.
+        let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(self.len()) + 1);
         let kth = |best: &Vec<Neighbour>| -> f64 {
             if best.len() < k {
                 radius
@@ -544,10 +430,8 @@ impl<S: Symbol> ShardedIndex<S> {
         };
         for shard in &self.shards {
             let (locals, shard_stats) =
-                shard
-                    .index
-                    .knn_prepared_limited(prepared, k, kth(&best), pivot_limit);
-            stats.per_shard.push(shard_stats);
+                shard.index.knn_search(prepared, k, kth(&best), pivot_limit);
+            stats.merge(shard_stats);
             for local in locals {
                 let candidate = Neighbour {
                     index: shard.offset + local.index,
@@ -562,7 +446,7 @@ impl<S: Symbol> ShardedIndex<S> {
         }
         // Lane-batched linear sweep over the delta shard; the running
         // k-th-best (or the radius while underfull) is the budget.
-        knn_scan_into(
+        scan_knn_into(
             &self.delta,
             prepared,
             k,
@@ -570,89 +454,40 @@ impl<S: Symbol> ShardedIndex<S> {
             self.indexed_len,
             &mut best,
         );
-        stats.delta.distance_computations += self.delta.len() as u64;
+        stats.distance_computations += self.delta.len() as u64;
         (best, stats)
     }
 
     /// Every element **within `radius`** (inclusive) of an
     /// already-prepared query across all shards and the delta shard,
-    /// in canonical (distance, ascending global index) order.
+    /// using each shard's first `pivot_limit` pivots, in canonical
+    /// (distance, ascending global index) order.
     ///
     /// Range search has a fixed radius, so there is no cross-shard
     /// bound to propagate: each shard answers independently with
     /// triangle-inequality pruning against the same budget, and the
     /// per-shard hit lists merge by the canonical ordering.
-    pub fn range_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Vec<Neighbour>, ShardedStats) {
-        self.range_core(prepared, radius, usize::MAX)
-    }
-
-    fn range_core(
+    fn range_search(
         &self,
         prepared: &dyn PreparedQuery<S>,
         radius: f64,
         pivot_limit: usize,
-    ) -> (Vec<Neighbour>, ShardedStats) {
-        let mut stats = ShardedStats::default();
+    ) -> (Vec<Neighbour>, SearchStats) {
+        let mut stats = SearchStats::default();
         let mut hits: Vec<Neighbour> = Vec::new();
         for shard in &self.shards {
-            let (locals, shard_stats) =
-                shard
-                    .index
-                    .range_prepared_limited(prepared, radius, pivot_limit);
-            stats.per_shard.push(shard_stats);
+            let (locals, shard_stats) = shard.index.range_search(prepared, radius, pivot_limit);
+            stats.merge(shard_stats);
             hits.extend(locals.into_iter().map(|local| Neighbour {
                 index: shard.offset + local.index,
                 distance: local.distance,
             }));
         }
         // Lane-batched fixed-radius sweep over the delta shard.
-        range_scan_into(&self.delta, prepared, radius, self.indexed_len, &mut hits);
-        stats.delta.distance_computations += self.delta.len() as u64;
+        scan_range_into(&self.delta, prepared, radius, self.indexed_len, &mut hits);
+        stats.distance_computations += self.delta.len() as u64;
         hits.sort_by(|a, b| a.ordering(b));
         (hits, stats)
-    }
-
-    /// `nn` for a batch of queries, parallelised across queries (each
-    /// worker's query is prepared once and reused across every shard).
-    /// Returns `None` on an empty index.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-    ) -> Option<Vec<(Neighbour, ShardedStats)>> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            let (found, stats) = self.nn_core(&*prepared, f64::INFINITY, usize::MAX);
-            (found.expect("index checked non-empty"), stats)
-        }))
-    }
-
-    /// `knn` for a batch of queries, parallelised across queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-        k: usize,
-    ) -> Vec<(Vec<Neighbour>, ShardedStats)> {
-        par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            self.knn_core(&*prepared, k, f64::INFINITY, usize::MAX)
-        })
     }
 }
 
@@ -672,34 +507,6 @@ impl<S: Symbol> MetricIndex<S> for ShardedIndex<S> {
         Some(ShardedIndex::item(self, i))
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(usize::MAX);
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_core(&*prepared, radius, limit);
-            let stats = stats.total();
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead,
-        // so the first survivor is the true live NN.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_core(&*prepared, want, radius, limit);
-        let found = self.tombstones.first_live(&hits);
-        let stats = stats.total();
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
     fn knn(
         &self,
         query: &[S],
@@ -712,15 +519,11 @@ impl<S: Symbol> MetricIndex<S> for ShardedIndex<S> {
         let radius = opts.checked_radius()?;
         let limit = opts.pivot_budget.unwrap_or(usize::MAX);
         let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_core(&*prepared, want, radius, limit);
+        // Over-fetch: at most T of the top k + T answers can be dead.
+        let want = opts.k.saturating_add(self.tombstones.count());
+        let (mut best, stats) = self.knn_search(&*prepared, want, radius, limit);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
-        let stats = stats.total();
         opts.record(stats);
         Ok((best, stats))
     }
@@ -737,9 +540,8 @@ impl<S: Symbol> MetricIndex<S> for ShardedIndex<S> {
         let radius = opts.checked_radius()?;
         let limit = opts.pivot_budget.unwrap_or(usize::MAX);
         let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_core(&*prepared, radius, limit);
+        let (mut hits, stats) = self.range_search(&*prepared, radius, limit);
         self.tombstones.retain_live(&mut hits);
-        let stats = stats.total();
         opts.record(stats);
         Ok((hits, stats))
     }

@@ -3,9 +3,9 @@
 //! [`LinearIndex`] oracle across metrics, shard counts and thread
 //! counts (NN, k-NN **and range**); deterministic tie-breaking on
 //! duplicate-heavy corpora; insert/compaction semantics; the
-//! thread-count determinism sweep; and the pipeline's in-order
+//! thread-count determinism sweep; and a session's in-order
 //! mixed-request protocol, including [`Request::Range`] and typed
-//! [`Response::Failed`] errors.
+//! [`ResponseBody::Failed`] errors.
 
 use cned_core::contextual::exact::Contextual;
 use cned_core::levenshtein::Levenshtein;
@@ -16,8 +16,11 @@ use cned_search::pivots::select_pivots_max_sum;
 use cned_search::{
     Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
 };
-use cned_serve::{QueryPipeline, Request, Response, ResponseBody, ShardConfig, ShardedIndex};
-use std::sync::Mutex;
+use cned_serve::{
+    Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, ShardConfig,
+    ShardedIndex, Ticket,
+};
+use std::sync::{Arc, Mutex};
 
 /// The thread override is process-global; tests that touch it
 /// serialise here.
@@ -71,6 +74,21 @@ fn knn_of(
 
 fn key(ns: &[Neighbour]) -> Vec<(usize, u64)> {
     ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+}
+
+/// Submit the whole queue to a fresh `d_E` session over `index` and
+/// wait every ticket in submission order, so `responses[i]` answers
+/// `requests[i]` and carries `RequestId(i)`.
+fn serve_all<I: MetricIndex<u8> + 'static>(index: I, requests: &[Request<u8>]) -> Vec<Response> {
+    let config = SessionConfig::new().queue_depth(requests.len());
+    let session = ServeSession::spawn_with(index, Arc::new(Levenshtein), config);
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| session.submit(r.clone()).expect("queue sized for the run"))
+        .collect();
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    session.shutdown();
+    responses
 }
 
 #[test]
@@ -164,9 +182,9 @@ fn duplicate_strings_tie_break_serial_batch_sharded() {
 
 #[test]
 fn thread_count_determinism_sweep() {
-    // nn_batch / knn_batch / pipeline answers must be bit-identical —
+    // nn_batch / knn_batch / session answers must be bit-identical —
     // neighbours, distances, and computation counts — for any worker
-    // count. Guards the pipeline against scheduling-dependent pruning.
+    // count. Guards the scheduler against scheduling-dependent pruning.
     let _guard = THREADS_LOCK.lock().unwrap();
     let db = corpus(70, 8, 3, 201);
     let queries = corpus(13, 8, 3, 2011);
@@ -192,9 +210,7 @@ fn thread_count_determinism_sweep() {
                 .iter()
                 .map(|(ns, st)| (key(ns), st.distance_computations))
                 .collect();
-        let mut pipeline = QueryPipeline::new(
-            ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap(),
-        );
+        let index = ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap();
         let requests: Vec<Request<u8>> = queries
             .iter()
             .enumerate()
@@ -210,7 +226,7 @@ fn thread_count_determinism_sweep() {
                 },
             })
             .collect();
-        pipeline_runs.push(pipeline.run(&requests, &Levenshtein));
+        pipeline_runs.push(serve_all(index, &requests));
         nn_runs.push(nn);
         knn_runs.push(knn);
     }
@@ -345,9 +361,9 @@ fn pipeline_inserts_are_barriers() {
     let probe = b"zzzzzz".to_vec();
     // The probe is far from the alphabet {a,b,c} corpus, so its
     // nearest neighbour changes the moment an exact copy is inserted.
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
-    let responses = pipeline.run(
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
+    let responses = serve_all(
+        index,
         &[
             Request::Nn {
                 query: probe.clone(),
@@ -371,7 +387,6 @@ fn pipeline_inserts_are_barriers() {
                 radius: 0.0,
             },
         ],
-        &Levenshtein,
     );
     assert_eq!(responses.len(), 6);
     let ResponseBody::Nn {
@@ -428,9 +443,8 @@ fn pipeline_range_agrees_with_linear_oracle_in_order() {
             radius: 1.0 + (i % 3) as f64,
         });
     }
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap());
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let index = ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap();
+    let responses = serve_all(index, &requests);
     let mut oracle_db = db.clone();
     for (req, resp) in requests.iter().zip(&responses) {
         let resp = &resp.body;
@@ -452,13 +466,12 @@ fn pipeline_range_agrees_with_linear_oracle_in_order() {
 
 #[test]
 fn pipeline_is_generic_over_the_trait() {
-    // The same pipeline code serves a plain LinearIndex — the trait is
+    // The same session code serves a plain LinearIndex — the trait is
     // the contract, ShardedIndex merely the default backend.
     let db = corpus(25, 6, 3, 59);
     let probe = db[7].clone();
-    let mut pipeline: QueryPipeline<u8, LinearIndex<u8>> =
-        QueryPipeline::new(LinearIndex::new(db.clone()));
-    let responses = pipeline.run(
+    let responses = serve_all(
+        LinearIndex::new(db.clone()),
         &[
             Request::Nn {
                 query: probe.clone(),
@@ -470,7 +483,6 @@ fn pipeline_is_generic_over_the_trait() {
                 query: b"zzzz".to_vec(),
             },
         ],
-        &Levenshtein,
     );
     let ResponseBody::Nn {
         neighbour: Some(nb),
@@ -546,7 +558,6 @@ fn invalid_radius_fails_even_on_an_empty_pipeline() {
     // yet.
     let empty: ShardedIndex<u8> =
         ShardedIndex::try_build(Vec::new(), ShardConfig::default(), &Levenshtein).unwrap();
-    let mut pipeline = QueryPipeline::new(empty);
     let requests = [
         Request::Range {
             query: b"abc".to_vec(),
@@ -560,7 +571,7 @@ fn invalid_radius_fails_even_on_an_empty_pipeline() {
             radius: -1.0,
         },
     ];
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let responses = serve_all(empty, &requests);
     for i in [0usize, 2] {
         assert!(
             matches!(
@@ -578,9 +589,9 @@ fn invalid_radius_fails_even_on_an_empty_pipeline() {
 #[test]
 fn pipeline_surfaces_typed_errors_in_order() {
     let db = corpus(20, 6, 3, 61);
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
-    let responses = pipeline.run(
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
+    let responses = serve_all(
+        index,
         &[
             Request::Range {
                 query: db[0].clone(),
@@ -590,7 +601,6 @@ fn pipeline_surfaces_typed_errors_in_order() {
                 query: db[0].clone(),
             },
         ],
-        &Levenshtein,
     );
     assert!(
         matches!(
@@ -632,10 +642,10 @@ fn empty_index_behaves() {
         MetricIndex::range(&index, b"abc", &Levenshtein, &opts).unwrap_err(),
         SearchError::EmptyDatabase
     );
-    // …but the pipeline treats an empty index as a normal serving
+    // …but a session treats an empty index as a normal serving
     // state: empty answers, then the insert makes it servable.
-    let mut pipeline = QueryPipeline::new(index);
-    let responses = pipeline.run(
+    let responses = serve_all(
+        index,
         &[
             Request::Nn {
                 query: b"abc".to_vec(),
@@ -647,7 +657,6 @@ fn empty_index_behaves() {
                 query: b"abc".to_vec(),
             },
         ],
-        &Levenshtein,
     );
     assert_eq!(
         responses[0].body,
@@ -666,33 +675,8 @@ fn empty_index_behaves() {
     assert_eq!((nb.index, nb.distance), (0, 0.0));
 }
 
-#[test]
-fn legacy_inherent_paths_match_the_trait_paths() {
-    // The deprecated forwarders stay pinned to the trait results —
-    // bit-identical neighbours, distances and computation counts —
-    // until they are removed.
-    #![allow(deprecated)]
-    let db = corpus(45, 7, 3, 63);
-    let queries = corpus(8, 7, 3, 631);
-    let index = ShardedIndex::try_build(db, config(3), &Levenshtein).unwrap();
-    for q in &queries {
-        let (legacy, legacy_stats) = index.nn(q, &Levenshtein).unwrap();
-        let (new, new_stats) = nn_of(&index, q, &Levenshtein);
-        assert_eq!(
-            (legacy.index, legacy.distance.to_bits()),
-            (new.index, new.distance.to_bits())
-        );
-        assert_eq!(legacy_stats.total(), new_stats);
-        let (legacy_knn, _) = index.knn(q, &Levenshtein, 4);
-        assert_eq!(key(&legacy_knn), key(&knn_of(&index, q, &Levenshtein, 4)));
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Session/ticket API
-
-use cned_serve::{RequestId, ServeSession, SessionConfig};
-use std::sync::Arc;
 
 /// Levenshtein slowed to `delay` per comparison — lets tests hold the
 /// scheduler busy deterministically.
@@ -921,14 +905,13 @@ fn session_over_boxed_dyn_index_answers_and_rejects_inserts_typed() {
 #[test]
 fn pipeline_run_ids_match_request_positions() {
     let db = corpus(25, 6, 3, 331);
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
     let requests: Vec<Request<u8>> = db
         .iter()
         .take(6)
         .map(|q| Request::Nn { query: q.clone() })
         .collect();
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let responses = serve_all(index, &requests);
     for (i, response) in responses.iter().enumerate() {
         assert_eq!(response.id, RequestId(i as u64));
     }

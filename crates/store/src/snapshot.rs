@@ -107,15 +107,6 @@ impl<S: Symbol> MetricIndex<S> for StoredIndex<S> {
         self.inner().item(i)
     }
 
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        self.inner().nn(query, dist, opts)
-    }
-
     fn knn(
         &self,
         query: &[S],

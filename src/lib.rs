@@ -67,30 +67,6 @@
 //! assert!((d - 8.0 / 15.0).abs() < 1e-12);
 //! ```
 //!
-//! ## Migrating from the pre-trait API (0.1)
-//!
-//! The old per-backend query methods remain as `#[deprecated]`
-//! forwarders for one release. Old call → new call:
-//!
-//! | 0.1 (deprecated) | replacement |
-//! |---|---|
-//! | `linear_nn(&db, q, &d)` | `LinearIndex::new(db)` + `MetricIndex::nn(q, &d, &opts)` |
-//! | `linear_knn(&db, q, &d, k)` | `MetricIndex::knn` with `QueryOptions::new().k(k)` |
-//! | `linear_nn_batch` / `linear_knn_batch` | `MetricIndex::nn_batch` / `knn_batch` |
-//! | `Laesa::build(db, piv, &d)` (panics) | `Laesa::try_build(db, piv, &d)?` |
-//! | `laesa.nn(q, &d)` | `MetricIndex::nn(&laesa, q, &d, &opts)` |
-//! | `laesa.nn_limited(q, &d, p)` | `QueryOptions::new().pivot_budget(p)` |
-//! | `laesa.knn(q, &d, k)` | `MetricIndex::knn` with `QueryOptions::new().k(k)` |
-//! | `laesa.nn_batch` / `laesa.knn_batch` | `MetricIndex::nn_batch` / `knn_batch` |
-//! | `aesa.nn(q, &d)` / `aesa.nn_batch` | `MetricIndex::nn` / `nn_batch` |
-//! | `vptree.nn(q, &d)` | `MetricIndex::nn` |
-//! | `ShardedIndex::build(db, cfg, &d)` | `ShardedIndex::try_build(db, cfg, &d)?` |
-//! | `sharded.nn` / `.knn` / `.nn_batch` / `.knn_batch` | the `MetricIndex` equivalents |
-//! | `NnClassifier::new(train, labels, SearchBackend::…, &d)` | build an index, then `NnClassifier::new(Box::new(index), labels)?` (the `SearchBackend` enum is gone) |
-//! | `KnnClassifier::new` / `with_laesa` / `with_sharded` | build an index, then `KnnClassifier::new(Box::new(index), labels, k)?` |
-//! | — | **new:** `MetricIndex::range` / `Database::range` / `Request::Range` |
-//!
-//! Or skip the per-crate types entirely and use [`Database::builder`].
 //! The facade (and everything answering queries) reports failure as
 //! [`SearchError`] — empty databases, invalid radii and bad pivot sets
 //! are values, not panics.

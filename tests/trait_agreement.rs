@@ -1,11 +1,10 @@
-//! The unified-API agreement suite (acceptance gate of the redesign):
-//! all five backends — `LinearIndex`, `Laesa`, `Aesa`, `VpTree` and
-//! `ShardedIndex` — answer nn / knn / range through `&dyn
-//! MetricIndex<u8>` with results **bit-identical** to the
-//! pre-redesign inherent-method paths (neighbours, distances, and —
-//! where the legacy path exists — computation counts), across `d_E`,
-//! `d_YB` and `d_C`, including the canonical tie-break on
-//! duplicate-heavy corpora and the empty-corpus edge cases.
+//! The unified-API agreement suite: all five backends — `LinearIndex`,
+//! `Laesa`, `Aesa`, `VpTree` and `ShardedIndex` — answer nn / knn /
+//! range through `&dyn MetricIndex<u8>` with results **bit-identical**
+//! to an independent linear-scan oracle across `d_E`, `d_YB` and
+//! `d_C`, including the canonical tie-break on duplicate-heavy
+//! corpora and the empty-corpus edge cases; a golden table pins the
+//! absolute distance-evaluation counts of every backend.
 
 use cned::core::contextual::exact::Contextual;
 use cned::core::levenshtein::Levenshtein;
@@ -129,102 +128,6 @@ fn all_backends_agree_on_nn_knn_and_range_for_all_metrics() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn trait_object_results_are_bit_identical_to_legacy_inherent_paths() {
-    // For each backend that had an inherent pre-redesign query path,
-    // the trait-object path must reproduce it bit for bit — including
-    // the per-query computation counts.
-    let db = corpus(50, 7, 3, 43);
-    let queries = corpus(8, 7, 3, 431);
-    let opts = QueryOptions::new();
-    let metrics: [&dyn Distance<u8>; 3] = [&Levenshtein, &YujianBo, &Contextual];
-    for dist in metrics {
-        let pivots = select_pivots_max_sum(&db, 6, 0, dist);
-        let laesa = Laesa::try_build(db.clone(), pivots, dist).unwrap();
-        let aesa = Aesa::build(db.clone(), dist);
-        let sharded = ShardedIndex::try_build(
-            db.clone(),
-            ShardConfig {
-                shards: 3,
-                pivots_per_shard: 3,
-                compact_threshold: 8,
-                ..ShardConfig::default()
-            },
-            dist,
-        )
-        .unwrap();
-        for q in &queries {
-            let label = format!("metric {} query {q:?}", dist.name());
-            // Linear: free function vs trait.
-            let linear: &dyn MetricIndex<u8> = &LinearIndex::new(db.clone());
-            let (l_legacy, l_stats) = cned::search::linear_nn(&db, q, dist).unwrap();
-            let (l_new, l_new_stats) = linear.nn(q, dist, &opts).unwrap();
-            let l_new = l_new.unwrap();
-            assert_eq!(
-                (l_legacy.index, l_legacy.distance.to_bits(), l_stats),
-                (l_new.index, l_new.distance.to_bits(), l_new_stats),
-                "{label}"
-            );
-            let (lk_legacy, _) = cned::search::linear_knn(&db, q, dist, 5);
-            let (lk_new, _) = linear.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&lk_legacy), key(&lk_new), "{label}");
-            // LAESA.
-            let (a_legacy, a_stats) = laesa.nn(q, dist).unwrap();
-            let dyn_laesa: &dyn MetricIndex<u8> = &laesa;
-            let (a_new, a_new_stats) = dyn_laesa.nn(q, dist, &opts).unwrap();
-            let a_new = a_new.unwrap();
-            assert_eq!(
-                (a_legacy.index, a_legacy.distance.to_bits(), a_stats),
-                (a_new.index, a_new.distance.to_bits(), a_new_stats),
-                "{label}"
-            );
-            let (ak_legacy, ak_stats) = laesa.knn(q, dist, 5);
-            let (ak_new, ak_new_stats) = dyn_laesa.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&ak_legacy), key(&ak_new), "{label}");
-            assert_eq!(ak_stats, ak_new_stats, "{label}");
-            // nn_limited ↔ pivot_budget.
-            for limit in [0usize, 2, 6] {
-                let (p_legacy, p_stats) = laesa.nn_limited(q, dist, limit).unwrap();
-                let (p_new, p_new_stats) = dyn_laesa
-                    .nn(q, dist, &QueryOptions::new().pivot_budget(limit))
-                    .unwrap();
-                let p_new = p_new.unwrap();
-                assert_eq!(
-                    (p_legacy.index, p_legacy.distance.to_bits(), p_stats),
-                    (p_new.index, p_new.distance.to_bits(), p_new_stats),
-                    "{label} limit {limit}"
-                );
-            }
-            // AESA.
-            let (e_legacy, e_stats) = aesa.nn(q, dist).unwrap();
-            let dyn_aesa: &dyn MetricIndex<u8> = &aesa;
-            let (e_new, e_new_stats) = dyn_aesa.nn(q, dist, &opts).unwrap();
-            let e_new = e_new.unwrap();
-            assert_eq!(
-                (e_legacy.index, e_legacy.distance.to_bits(), e_stats),
-                (e_new.index, e_new.distance.to_bits(), e_new_stats),
-                "{label}"
-            );
-            // Sharded.
-            let (s_legacy, s_stats) = sharded.nn(q, dist).unwrap();
-            let dyn_sharded: &dyn MetricIndex<u8> = &sharded;
-            let (s_new, s_new_stats) = dyn_sharded.nn(q, dist, &opts).unwrap();
-            let s_new = s_new.unwrap();
-            assert_eq!(
-                (s_legacy.index, s_legacy.distance.to_bits(), s_stats.total()),
-                (s_new.index, s_new.distance.to_bits(), s_new_stats),
-                "{label}"
-            );
-            let (sk_legacy, sk_stats) = sharded.knn(q, dist, 5);
-            let (sk_new, sk_new_stats) =
-                dyn_sharded.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&sk_legacy), key(&sk_new), "{label}");
-            assert_eq!(sk_stats.total(), sk_new_stats, "{label}");
-        }
-    }
-}
-
-#[test]
 fn empty_corpus_is_a_typed_error_on_every_backend() {
     let empty: Vec<Vec<u8>> = Vec::new();
     for index in backends(&empty, &Levenshtein) {
@@ -289,9 +192,10 @@ fn batch_paths_match_single_paths_behind_the_trait() {
 
 #[test]
 fn facade_end_to_end_with_sharding_and_range() {
-    // The acceptance-criteria scenario: Database::builder with shards,
-    // plus range queries through the pipeline.
-    use cned::serve::{QueryPipeline, Request, ResponseBody};
+    // Database::builder with shards, plus range queries through a
+    // serve session.
+    use cned::serve::{Request, ResponseBody, ServeSession, Ticket};
+    use std::sync::Arc;
     let words = corpus(60, 6, 3, 53);
     let db = Database::builder(words.clone())
         .metric(Metric::Levenshtein)
@@ -310,7 +214,7 @@ fn facade_end_to_end_with_sharding_and_range() {
         .map(|(i, d)| (i, d.to_bits()))
         .collect();
     assert_eq!(key(&hits), oracle);
-    // Range through the pipeline, in-order with an insert barrier.
+    // Range through a session, in-order with an insert barrier.
     let index = ShardedIndex::try_build(
         words.clone(),
         ShardConfig {
@@ -322,22 +226,24 @@ fn facade_end_to_end_with_sharding_and_range() {
         &Levenshtein,
     )
     .unwrap();
-    let mut pipeline = QueryPipeline::new(index);
+    let session = ServeSession::spawn(index, Arc::new(Levenshtein));
     let far = b"zzzzz".to_vec();
-    let responses = pipeline.run(
-        &[
-            Request::Range {
-                query: far.clone(),
-                radius: 0.0,
-            },
-            Request::Insert { item: far.clone() },
-            Request::Range {
-                query: far.clone(),
-                radius: 0.0,
-            },
-        ],
-        &Levenshtein,
-    );
+    let tickets: Vec<Ticket> = [
+        Request::Range {
+            query: far.clone(),
+            radius: 0.0,
+        },
+        Request::Insert { item: far.clone() },
+        Request::Range {
+            query: far.clone(),
+            radius: 0.0,
+        },
+    ]
+    .into_iter()
+    .map(|request| session.submit(request).unwrap())
+    .collect();
+    let responses: Vec<_> = tickets.into_iter().map(Ticket::wait).collect();
+    session.shutdown();
     let ResponseBody::Range { neighbours, .. } = &responses[0].body else {
         panic!("expected Range, got {:?}", responses[0]);
     };
@@ -346,4 +252,146 @@ fn facade_end_to_end_with_sharding_and_range() {
         panic!("expected Range, got {:?}", responses[2]);
     };
     assert_eq!(key(neighbours), vec![(words.len(), 0.0f64.to_bits())]);
+}
+
+/// FNV-1a over every answer's length and `(index, distance bits)`
+/// pairs: one number pins a whole sequence of answer lists.
+fn digest(mut h: u64, ns: &[Neighbour]) -> u64 {
+    let words = std::iter::once(ns.len() as u64).chain(
+        ns.iter()
+            .flat_map(|n| [n.index as u64, n.distance.to_bits()]),
+    );
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One metric's golden row, recorded before NN became a provided
+/// `k = 1` method: the answer digests of NN, 5-NN and range (every
+/// backend must reproduce them); the summed evaluations of each
+/// backend, in `backends()` order, as `[NN, 5-NN, range]`; and LAESA
+/// NN's summed evaluations at pivot budgets 0, 2, 4 and all (the
+/// Figures 3–4 sweep), whose answers must digest to the NN digest.
+type GoldenRow = (&'static str, [u64; 3], [[u64; 3]; 5], [u64; 4]);
+
+const GOLDEN: [GoldenRow; 2] = [
+    (
+        "d_E",
+        [
+            8259889242280704061,
+            15728869662850327670,
+            9201058392794645170,
+        ],
+        [
+            [480, 480, 480],
+            [216, 328, 297],
+            [150, 218, 180],
+            [343, 418, 396],
+            [311, 433, 381],
+        ],
+        [480, 260, 235, 216],
+    ),
+    (
+        "d_C",
+        [
+            12633735752119659905,
+            7600060946090806766,
+            4760336755740161716,
+        ],
+        [
+            [480, 480, 480],
+            [208, 291, 326],
+            [122, 187, 268],
+            [329, 437, 442],
+            [285, 398, 385],
+        ],
+        [480, 256, 218, 208],
+    ),
+];
+
+#[test]
+fn golden_counts_and_answer_digests_are_pinned() {
+    // Absolute distance-evaluation counts and answer digests for a
+    // fixed corpus, so a refactor of any query core that changes what
+    // it evaluates fails here even when every answer stays right.
+    let db = corpus(48, 7, 3, 61);
+    let queries = corpus(10, 7, 3, 611);
+    let metrics: [(&dyn Distance<u8>, f64); 2] = [(&Levenshtein, 2.0), (&Contextual, 0.5)];
+    for ((name, digests, evals, sweep), (dist, radius)) in GOLDEN.into_iter().zip(metrics) {
+        assert_eq!(name, dist.name());
+        let mut indexes = backends(&db, dist);
+        // The sharded backend carries a non-empty delta shard.
+        let mut sharded = ShardedIndex::try_build(
+            db[..44].to_vec(),
+            ShardConfig {
+                shards: 3,
+                pivots_per_shard: 3,
+                compact_threshold: 8,
+                ..ShardConfig::default()
+            },
+            dist,
+        )
+        .unwrap();
+        for item in &db[44..] {
+            sharded.insert(item.clone(), dist);
+        }
+        assert_eq!(sharded.delta_len(), 4);
+        indexes[4] = Box::new(sharded);
+        let mut got_evals = [[0u64; 3]; 5];
+        for (index, got) in indexes.iter().zip(&mut got_evals) {
+            let mut got_digests = [FNV_OFFSET; 3];
+            for q in &queries {
+                let (nn, s) = index.nn(q, dist, &QueryOptions::new()).unwrap();
+                got[0] += s.distance_computations;
+                got_digests[0] = digest(got_digests[0], nn.as_slice());
+                let (knn, s) = index.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
+                got[1] += s.distance_computations;
+                got_digests[1] = digest(got_digests[1], &knn);
+                let opts = QueryOptions::new().radius(radius);
+                let (hits, s) = index.range(q, dist, &opts).unwrap();
+                got[2] += s.distance_computations;
+                got_digests[2] = digest(got_digests[2], &hits);
+            }
+            assert_eq!(got_digests, digests, "{} on {name}", index.backend_name());
+        }
+        let mut got_sweep = [0u64; 4];
+        for (got, budget) in got_sweep.iter_mut().zip([Some(0), Some(2), Some(4), None]) {
+            let opts = match budget {
+                Some(p) => QueryOptions::new().pivot_budget(p),
+                None => QueryOptions::new(),
+            };
+            let mut answers = FNV_OFFSET;
+            for q in &queries {
+                let (nn, s) = indexes[1].nn(q, dist, &opts).unwrap();
+                *got += s.distance_computations;
+                answers = digest(answers, nn.as_slice());
+            }
+            assert_eq!(answers, digests[0], "LAESA on {name} at budget {budget:?}");
+        }
+        assert_eq!((got_evals, got_sweep), (evals, sweep), "counts on {name}");
+    }
+}
+
+#[test]
+fn huge_k_answers_every_item_in_canonical_order() {
+    // A wire request can carry any u64 `k`; no backend may size a
+    // buffer by it.
+    let db = corpus(30, 6, 3, 67);
+    let q = b"abcab";
+    let expect: Vec<(usize, u64)> = oracle_sorted(&db, q, &Levenshtein)
+        .into_iter()
+        .map(|(i, d)| (i, d.to_bits()))
+        .collect();
+    for index in backends(&db, &Levenshtein) {
+        let (all, _) = index
+            .knn(q, &Levenshtein, &QueryOptions::new().k(1 << 40))
+            .unwrap();
+        assert_eq!(key(&all), expect, "{}", index.backend_name());
+    }
 }
