@@ -6,10 +6,9 @@
 //! ## Exactness and invalidation
 //!
 //! Entries are keyed on the **canonicalised** query: the request kind,
-//! the query string, the metric's name, and the [`QueryOptions`]
-//! fields that can change the answer (`radius`, `k` for k-NN,
-//! `pivot_budget`). `threads` and `stats_sink` never affect answers
-//! and are excluded. A hit replays the stored neighbours *and* the
+//! the query string, the metric's name, and every [`QueryOptions`]
+//! field (`radius`, `k` for k-NN, `pivot_budget`). A hit replays the
+//! stored neighbours *and* the
 //! stored [`SearchStats`] — bit-identical to the call that populated
 //! the entry.
 //!
@@ -460,7 +459,6 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let shard = self.shard_for(&key);
         if let Some((hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            opts.record(stats);
             return Ok((hits, stats));
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
@@ -501,7 +499,6 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let shard = self.shard_for(&key);
         if let Some((hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            opts.record(stats);
             return Ok((hits, stats));
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);

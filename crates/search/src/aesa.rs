@@ -240,7 +240,6 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         let (mut best, stats) = self.knn_search(&*prepared, want, radius);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
-        opts.record(stats);
         Ok((best, stats))
     }
 
@@ -257,7 +256,6 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         let prepared = dist.prepare(query);
         let (mut hits, stats) = self.range_search(&*prepared, radius);
         self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
         Ok((hits, stats))
     }
 
@@ -369,8 +367,12 @@ mod tests {
         let db = corpus(80, 9, 3, 47);
         let queries = corpus(15, 9, 3, 471);
         let idx = Aesa::build(db, &Levenshtein);
-        let opts = QueryOptions::new().threads(3);
-        let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
+        let _guard = crate::TEST_ENV_LOCK.lock().unwrap();
+        crate::parallel::set_thread_override(Some(3));
+        let batch = idx
+            .nn_batch(&queries, &Levenshtein, &QueryOptions::new())
+            .unwrap();
+        crate::parallel::set_thread_override(None);
         for (q, (found, stats)) in queries.iter().zip(&batch) {
             let (snn, sstats) = nn(&idx, q);
             assert_eq!(found.unwrap().distance, snn.distance, "query {q:?}");

@@ -17,19 +17,17 @@
 //! is a typed error, not a panic or a silent `None`.
 
 use crate::error::SearchError;
-use crate::parallel::par_map_with;
-use crate::{Neighbour, SearchStats, SearchStatsAtomic};
+use crate::parallel::par_map;
+use crate::{Neighbour, SearchStats};
 use cned_core::metric::Distance;
 use cned_core::Symbol;
-use std::sync::Arc;
 
 /// Options shared by every [`MetricIndex`] query.
 ///
 /// Construction is builder-style (`QueryOptions::new().radius(1.5)`);
 /// the struct is `#[non_exhaustive]` so new knobs can be added without
-/// breaking callers. The defaults reproduce the classic calls: an
-/// unbounded nearest-neighbour search over all pivots on the calling
-/// thread's default worker pool.
+/// breaking callers. The defaults reproduce the classic call: an
+/// unbounded nearest-neighbour search over all pivots.
 #[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
@@ -52,16 +50,6 @@ pub struct QueryOptions {
     /// backends without pivots ignore it. `None` (default) uses every
     /// pivot.
     pub pivot_budget: Option<usize>,
-    /// Worker-thread override for the `*_batch` entry points (`None`
-    /// defers to [`crate::parallel::num_threads`], i.e. the
-    /// `CNED_THREADS`/auto default). Results are bit-identical for any
-    /// worker count; this knob only caps fan-out.
-    pub threads: Option<usize>,
-    /// Optional sink that also receives every query's [`SearchStats`]
-    /// (in addition to the per-query stats in the return value) —
-    /// handy for streaming totals out of batch pipelines without
-    /// materialising per-query statistics.
-    pub stats_sink: Option<Arc<SearchStatsAtomic>>,
 }
 
 impl Default for QueryOptions {
@@ -70,15 +58,12 @@ impl Default for QueryOptions {
             radius: f64::INFINITY,
             k: 1,
             pivot_budget: None,
-            threads: None,
-            stats_sink: None,
         }
     }
 }
 
 impl QueryOptions {
-    /// The default options: unbounded radius, `k = 1`, all pivots,
-    /// default worker pool, no stats sink.
+    /// The default options: unbounded radius, `k = 1`, all pivots.
     pub fn new() -> QueryOptions {
         QueryOptions::default()
     }
@@ -101,18 +86,6 @@ impl QueryOptions {
         self
     }
 
-    /// Override the batch worker count.
-    pub fn threads(mut self, n: usize) -> QueryOptions {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Stream every query's statistics into `sink` as well.
-    pub fn stats_sink(mut self, sink: Arc<SearchStatsAtomic>) -> QueryOptions {
-        self.stats_sink = Some(sink);
-        self
-    }
-
     /// Validate the radius: `Err(InvalidRadius)` for NaN or negative
     /// values, the radius otherwise. Implementations call this before
     /// touching the database.
@@ -123,14 +96,6 @@ impl QueryOptions {
             })
         } else {
             Ok(self.radius)
-        }
-    }
-
-    /// Fold one query's statistics into the sink, if one is set.
-    /// Implementations call this exactly once per answered query.
-    pub fn record(&self, stats: SearchStats) {
-        if let Some(sink) = &self.stats_sink {
-            sink.add(stats);
         }
     }
 }
@@ -223,8 +188,9 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
     ) -> Result<(Vec<Neighbour>, SearchStats), SearchError>;
 
     /// [`MetricIndex::nn`] for a batch of queries, parallelised across
-    /// queries ([`QueryOptions::threads`] caps the fan-out). Results
-    /// are in input order and bit-identical to one-by-one calls.
+    /// queries ([`crate::parallel::num_threads`] workers at most).
+    /// Results are in input order and bit-identical to one-by-one
+    /// calls.
     fn nn_batch(
         &self,
         queries: &[Vec<S>],
@@ -235,11 +201,9 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
             return Err(SearchError::EmptyDatabase);
         }
         opts.checked_radius()?;
-        par_map_with(opts.threads, queries.len(), |q| {
-            self.nn(&queries[q], dist, opts)
-        })
-        .into_iter()
-        .collect()
+        par_map(queries.len(), |q| self.nn(&queries[q], dist, opts))
+            .into_iter()
+            .collect()
     }
 
     /// [`MetricIndex::knn`] for a batch of queries, parallelised
@@ -254,11 +218,9 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
             return Err(SearchError::EmptyDatabase);
         }
         opts.checked_radius()?;
-        par_map_with(opts.threads, queries.len(), |q| {
-            self.knn(&queries[q], dist, opts)
-        })
-        .into_iter()
-        .collect()
+        par_map(queries.len(), |q| self.knn(&queries[q], dist, opts))
+            .into_iter()
+            .collect()
     }
 
     /// Downcast to the mutable insert surface, when this backend
@@ -358,24 +320,6 @@ impl<S: Symbol, T: MetricIndex<S> + ?Sized> MetricIndex<S> for Box<T> {
         (**self).range(query, dist, opts)
     }
 
-    fn nn_batch(
-        &self,
-        queries: &[Vec<S>],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<Vec<(Option<Neighbour>, SearchStats)>, SearchError> {
-        (**self).nn_batch(queries, dist, opts)
-    }
-
-    fn knn_batch(
-        &self,
-        queries: &[Vec<S>],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<Vec<(Vec<Neighbour>, SearchStats)>, SearchError> {
-        (**self).knn_batch(queries, dist, opts)
-    }
-
     fn delete(&mut self, index: usize) -> Result<bool, SearchError> {
         (**self).delete(index)
     }
@@ -421,27 +365,14 @@ mod tests {
         assert_eq!(opts.radius, f64::INFINITY);
         assert_eq!(opts.k, 1);
         assert!(opts.pivot_budget.is_none());
-        assert!(opts.threads.is_none());
-        assert!(opts.stats_sink.is_none());
     }
 
     #[test]
     fn builder_methods_chain() {
-        let sink = Arc::new(SearchStatsAtomic::new());
-        let opts = QueryOptions::new()
-            .radius(2.5)
-            .k(7)
-            .pivot_budget(3)
-            .threads(2)
-            .stats_sink(sink.clone());
+        let opts = QueryOptions::new().radius(2.5).k(7).pivot_budget(3);
         assert_eq!(opts.radius, 2.5);
         assert_eq!(opts.k, 7);
         assert_eq!(opts.pivot_budget, Some(3));
-        assert_eq!(opts.threads, Some(2));
-        opts.record(SearchStats {
-            distance_computations: 5,
-        });
-        assert_eq!(sink.snapshot().distance_computations, 5);
     }
 
     #[test]

@@ -541,7 +541,6 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
         let (mut best, stats) = self.knn_search(&*prepared, want, radius, limit);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
-        opts.record(stats);
         Ok((best, stats))
     }
 
@@ -559,7 +558,6 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
         let prepared = dist.prepare(query);
         let (mut hits, stats) = self.range_search(&*prepared, radius, limit);
         self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
         Ok((hits, stats))
     }
 
@@ -928,16 +926,20 @@ mod tests {
         let db = corpus(120, 10, 3, 57);
         let queries = corpus(25, 10, 3, 571);
         let idx = build(&db, 10, &Levenshtein);
-        let opts = QueryOptions::new().threads(3);
+        let opts = QueryOptions::new();
+        let _guard = crate::TEST_ENV_LOCK.lock().unwrap();
+        crate::parallel::set_thread_override(Some(3));
         let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
+        let kbatch = idx
+            .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(4))
+            .unwrap();
+        crate::parallel::set_thread_override(None);
         assert_eq!(batch.len(), queries.len());
         for (q, (found, stats)) in queries.iter().zip(&batch) {
             let (snn, sstats) = nn(&idx, q, &Levenshtein, &opts);
             assert_eq!(found.unwrap().distance, snn.distance, "query {q:?}");
             assert_eq!(*stats, sstats);
         }
-        let kopts = QueryOptions::new().k(4).threads(3);
-        let kbatch = idx.knn_batch(&queries, &Levenshtein, &kopts).unwrap();
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
             assert_eq!(key(nns), key(&knn(&idx, q, &Levenshtein, 4)), "query {q:?}");
         }

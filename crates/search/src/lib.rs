@@ -62,7 +62,7 @@
 //! and `cned-serve`'s `ShardedIndex` — implements the object-safe
 //! [`MetricIndex`] trait: `knn` / `range` plus the provided `nn` /
 //! `nn_batch` / `knn_batch`, all driven by a [`QueryOptions`] struct
-//! (radius seed, `k`, pivot budget, worker override, stats sink) and
+//! (radius seed, `k`, pivot budget) and
 //! returning `Result<_, `[`SearchError`]`>` instead of panicking.
 //! Each backend has one k-NN core (NN is its `k = 1` case) and one
 //! range core; range (radius) search is answered with
@@ -88,7 +88,7 @@ pub use error::SearchError;
 pub use index::{InsertableIndex, MetricIndex, QueryOptions};
 pub use laesa::Laesa;
 pub use linear::LinearIndex;
-pub use parallel::{num_threads, par_map, par_map_with, workers_for};
+pub use parallel::{num_threads, par_map, workers_for};
 pub use pivots::{select_pivots_max_sum, select_pivots_random};
 pub use tombstone::TombstoneSet;
 pub use vptree::VpTree;

@@ -195,7 +195,6 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         let stats = SearchStats {
             distance_computations: self.db.len() as u64,
         };
-        opts.record(stats);
         Ok((best, stats))
     }
 
@@ -217,7 +216,6 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         let stats = SearchStats {
             distance_computations: self.db.len() as u64,
         };
-        opts.record(stats);
         Ok((hits, stats))
     }
 
@@ -485,13 +483,15 @@ mod tests {
     #[test]
     fn batch_matches_single_queries() {
         let idx = LinearIndex::new(db());
-        let opts = QueryOptions::new().threads(3);
+        let opts = QueryOptions::new();
         let queries: Vec<Vec<u8>> = vec![
             b"casa".to_vec(),
             b"tazas".to_vec(),
             b"".to_vec(),
             b"mesa".to_vec(),
         ];
+        let _guard = crate::TEST_ENV_LOCK.lock().unwrap();
+        crate::parallel::set_thread_override(Some(3));
         let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
         assert_eq!(batch.len(), queries.len());
         for (q, (nn, stats)) in queries.iter().zip(&batch) {
@@ -504,23 +504,12 @@ mod tests {
         let kbatch = idx
             .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(2))
             .unwrap();
+        crate::parallel::set_thread_override(None);
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
             let snns = knn(db(), q, &Levenshtein, 2);
             let bd: Vec<(usize, f64)> = nns.iter().map(|n| (n.index, n.distance)).collect();
             let sd: Vec<(usize, f64)> = snns.iter().map(|n| (n.index, n.distance)).collect();
             assert_eq!(bd, sd, "query {q:?}");
         }
-    }
-
-    #[test]
-    fn stats_sink_accumulates_across_a_batch() {
-        use crate::SearchStatsAtomic;
-        use std::sync::Arc;
-        let idx = LinearIndex::new(db());
-        let sink = Arc::new(SearchStatsAtomic::new());
-        let opts = QueryOptions::new().stats_sink(sink.clone());
-        let queries: Vec<Vec<u8>> = vec![b"casa".to_vec(), b"mesa".to_vec()];
-        idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
-        assert_eq!(sink.snapshot().distance_computations, 10);
     }
 }

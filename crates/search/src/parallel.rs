@@ -82,23 +82,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    par_map_with(None, n, f)
-}
-
-/// [`par_map`] with a per-call worker override: `Some(t)` caps the
-/// fan-out at `t` threads (still clamped to `n` items), `None` defers
-/// to the process default ([`num_threads`]). This is what lets a
-/// [`crate::QueryOptions::threads`] override apply to one batch
-/// without touching the process-global [`set_thread_override`].
-pub fn par_map_with<T, F>(threads: Option<usize>, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = match threads {
-        Some(t) => t.max(1).min(n.max(1)),
-        None => workers_for(n),
-    };
+    let threads = workers_for(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
@@ -178,18 +162,6 @@ mod tests {
         // computes every element exactly once, in order.
         assert_eq!(par_map(3, |i| i * 2), vec![0, 2, 4]);
         set_thread_override(None);
-    }
-
-    #[test]
-    fn per_call_override_beats_the_global_default() {
-        // A per-call override must not read or disturb the global
-        // knobs; results stay in order regardless of worker count.
-        let expected: Vec<usize> = (0..53).map(|i| i + 7).collect();
-        for t in [Some(1), Some(3), Some(64), None] {
-            assert_eq!(par_map_with(t, 53, |i| i + 7), expected, "threads {t:?}");
-        }
-        assert_eq!(par_map_with(Some(0), 4, |i| i), vec![0, 1, 2, 3]);
-        assert_eq!(par_map_with(Some(8), 0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

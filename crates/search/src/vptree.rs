@@ -286,7 +286,6 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
         let (mut best, stats) = self.knn_search(&*prepared, want, radius);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
-        opts.record(stats);
         Ok((best, stats))
     }
 
@@ -303,7 +302,6 @@ impl<S: Symbol> MetricIndex<S> for VpTree<S> {
         let prepared = dist.prepare(query);
         let (mut hits, stats) = self.range_search(&*prepared, radius);
         self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
         Ok((hits, stats))
     }
 

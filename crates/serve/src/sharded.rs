@@ -524,7 +524,6 @@ impl<S: Symbol> MetricIndex<S> for ShardedIndex<S> {
         let (mut best, stats) = self.knn_search(&*prepared, want, radius, limit);
         self.tombstones.retain_live(&mut best);
         best.truncate(opts.k);
-        opts.record(stats);
         Ok((best, stats))
     }
 
@@ -542,7 +541,6 @@ impl<S: Symbol> MetricIndex<S> for ShardedIndex<S> {
         let prepared = dist.prepare(query);
         let (mut hits, stats) = self.range_search(&*prepared, radius, limit);
         self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
         Ok((hits, stats))
     }
 

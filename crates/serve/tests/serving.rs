@@ -240,21 +240,19 @@ fn thread_count_determinism_sweep() {
 }
 
 #[test]
-fn per_call_thread_override_matches_global_results() {
-    // QueryOptions::threads caps one batch without touching the
-    // process default, and cannot change results.
+fn thread_override_matches_default_results() {
+    // The worker count caps a batch's fan-out and cannot change
+    // results.
     let db = corpus(50, 7, 3, 211);
     let queries = corpus(9, 7, 3, 2111);
     let index = ShardedIndex::try_build(db, config(2), &Levenshtein).unwrap();
+    let _guard = THREADS_LOCK.lock().unwrap();
     let base = MetricIndex::nn_batch(&index, &queries, &Levenshtein, &QueryOptions::new()).unwrap();
     for threads in [1usize, 2, 5] {
-        let with = MetricIndex::nn_batch(
-            &index,
-            &queries,
-            &Levenshtein,
-            &QueryOptions::new().threads(threads),
-        )
-        .unwrap();
+        set_thread_override(Some(threads));
+        let with =
+            MetricIndex::nn_batch(&index, &queries, &Levenshtein, &QueryOptions::new()).unwrap();
+        set_thread_override(None);
         for ((a, ast), (b, bst)) in base.iter().zip(&with) {
             let (a, b) = (a.unwrap(), b.unwrap());
             assert_eq!(

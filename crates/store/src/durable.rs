@@ -1,7 +1,9 @@
 //! [`Durable`]: the persistence wrapper a serving session owns.
 //!
-//! Wraps a [`StoredIndex`] and threads every accepted write (insert
-//! or delete) through the durability pipeline, in this order:
+//! Wraps any persistable [`MetricIndex`] (one [`IndexView::of`]
+//! accepts: a linear, LAESA or sharded backend, possibly behind a
+//! cache) and threads every accepted write (insert or delete) through
+//! the durability pipeline, in this order:
 //!
 //! 1. **WAL append + fsync** — the write is on disk before anything
 //!    else observes it. If this fails, the write fails typed and the
@@ -35,9 +37,9 @@ use std::sync::{mpsc, Arc};
 
 use crate::format::StoreError;
 use crate::snapshot::{
-    decode_snapshot_plan, encode_snapshot_with, write_atomic, SnapshotMeta, StoredIndex,
+    encode_snapshot_with, write_atomic, DecodedSnapshot, IndexView, StoredIndex,
 };
-use crate::wal::{replay_file, Wal, WalOp};
+use crate::wal::{apply, replay_file, Wal};
 
 /// Snapshot file name inside a data dir.
 pub const SNAPSHOT_FILE: &str = "snapshot.cned";
@@ -88,10 +90,13 @@ impl<S: WireSymbol> StoreShared<S> {
     }
 }
 
-/// A persistent index: a [`StoredIndex`] plus its data dir, WAL and
-/// snapshot policy. See the module docs for the insert pipeline.
-pub struct Durable<S: WireSymbol> {
-    inner: StoredIndex<S>,
+/// A persistent index: a persistable [`MetricIndex`] plus its data
+/// dir, WAL and snapshot policy. See the module docs for the insert
+/// pipeline. [`Durable::recover`] yields one over the decoded
+/// [`StoredIndex`]; [`Durable::create`] takes whatever index the
+/// caller built.
+pub struct Durable<S: WireSymbol, I: MetricIndex<S> = StoredIndex<S>> {
+    inner: I,
     metric: (u8, u8),
     wal: Wal,
     snapshot_every: u64,
@@ -107,99 +112,42 @@ pub fn data_dir_initialised(dir: &Path) -> bool {
     dir.join(SNAPSHOT_FILE).is_file()
 }
 
-impl<S: WireSymbol> Durable<S> {
-    /// Initialise a fresh data dir from an in-memory index: write its
-    /// first snapshot and an empty WAL. Fails if the dir cannot be
-    /// created or written; any existing snapshot/WAL is replaced.
-    pub fn create(
-        dir: &Path,
-        metric: (u8, u8),
-        index: StoredIndex<S>,
-        snapshot_every: u64,
-    ) -> Result<Durable<S>, StoreError> {
-        std::fs::create_dir_all(dir).map_err(|e| StoreError::io("create data dir", e))?;
-        let shared = Arc::new(StoreShared {
-            dir: dir.to_path_buf(),
-            subs: OrderedMutex::new(rank::STORE_SUBS, "StoreShared::subs", Vec::new()),
-            files: OrderedMutex::new(rank::STORE_FILES, "StoreShared::files", ()),
-        });
-        let bytes = encode_snapshot_with(metric, &index.view(), None);
-        write_atomic(&shared.snapshot_path(), &bytes)?;
-        // Replace any stale WAL from a previous incarnation of the dir.
-        let wal_path = shared.wal_path();
-        let mut wal = Wal::open::<S>(&wal_path)?;
-        wal.truncate::<S>()?;
-        Ok(Durable {
-            inner: index,
-            metric,
-            wal,
-            snapshot_every: snapshot_every.max(1),
-            shared,
-            plan: None,
-        })
-    }
+/// The codec's view of `index`, or a typed refusal for a backend the
+/// snapshot format cannot hold.
+fn view_of<S: WireSymbol>(index: &dyn MetricIndex<S>) -> Result<IndexView<'_, S>, StoreError> {
+    IndexView::of(index).ok_or_else(|| StoreError::Unsupported {
+        detail: "only the linear, laesa and sharded backends can be persisted".into(),
+    })
+}
 
-    /// Recover from an existing data dir: decode the snapshot, replay
-    /// the WAL on top, then fold the replayed tail into a fresh
-    /// snapshot so the next boot starts from a clean log.
+fn shared_state<S: WireSymbol>(dir: &Path) -> Arc<StoreShared<S>> {
+    Arc::new(StoreShared {
+        dir: dir.to_path_buf(),
+        subs: OrderedMutex::new(rank::STORE_SUBS, "StoreShared::subs", Vec::new()),
+        files: OrderedMutex::new(rank::STORE_FILES, "StoreShared::files", ()),
+    })
+}
+
+impl<S: WireSymbol> Durable<S> {
+    /// Recover a data dir from its decoded snapshot (`decoded` is
+    /// [`crate::decode_snapshot_plan`] of the dir's [`SNAPSHOT_FILE`]): replay
+    /// the WAL on top ([`crate::wal::apply`]), then fold the replayed
+    /// tail into a fresh snapshot so the next boot starts from a clean
+    /// log.
     ///
     /// `dist` must be the metric the snapshot was built with; the
-    /// caller maps the returned [`SnapshotMeta`] codes back to it (the
+    /// caller maps the [`crate::SnapshotMeta`] codes back to it (the
     /// `cned::Database` facade does this).
     pub fn recover(
         dir: &Path,
+        decoded: DecodedSnapshot<S>,
         dist: &dyn Distance<S>,
         snapshot_every: u64,
-    ) -> Result<(Durable<S>, SnapshotMeta), StoreError> {
-        let shared = Arc::new(StoreShared {
-            dir: dir.to_path_buf(),
-            subs: OrderedMutex::new(rank::STORE_SUBS, "StoreShared::subs", Vec::new()),
-            files: OrderedMutex::new(rank::STORE_FILES, "StoreShared::files", ()),
-        });
-        let bytes = std::fs::read(shared.snapshot_path())
-            .map_err(|e| StoreError::io("read snapshot", e))?;
-        let (meta, mut index, plan) = decode_snapshot_plan::<S>(&bytes)?;
+    ) -> Result<Durable<S>, StoreError> {
+        let (meta, mut index, plan) = decoded;
+        let shared = shared_state(dir);
         for op in replay_file::<S>(&shared.wal_path())? {
-            match op {
-                WalOp::Insert { seq, item } => {
-                    let len = index.len() as u64;
-                    // Entries the snapshot already covers replay as
-                    // no-ops (snapshot-then-crash-before-truncate
-                    // leaves an overlap); a gap beyond the index
-                    // length means a lost entry.
-                    if seq < len {
-                        continue;
-                    }
-                    if seq > len {
-                        return Err(StoreError::Corrupt {
-                            detail: format!(
-                                "wal sequence gap: log holds {seq}, index holds {len} items"
-                            ),
-                        });
-                    }
-                    index.insert(item, dist).map_err(|e| StoreError::Corrupt {
-                        detail: format!("wal replay insert failed: {e}"),
-                    })?;
-                }
-                WalOp::Delete { index: target } => {
-                    let target = usize::try_from(target).map_err(|_| StoreError::Corrupt {
-                        detail: "wal delete index exceeds usize".into(),
-                    })?;
-                    if target >= index.len() {
-                        return Err(StoreError::Corrupt {
-                            detail: format!(
-                                "wal delete index {target} out of range ({} items)",
-                                index.len()
-                            ),
-                        });
-                    }
-                    // Deletes the snapshot already folded in replay as
-                    // no-ops (`Ok(false)`): deletes are idempotent.
-                    index.delete(target).map_err(|e| StoreError::Corrupt {
-                        detail: format!("wal replay delete failed: {e}"),
-                    })?;
-                }
-            }
+            apply(&mut index, op, dist)?;
         }
         let wal = Wal::open::<S>(&shared.wal_path())?;
         let mut durable = Durable {
@@ -213,12 +161,49 @@ impl<S: WireSymbol> Durable<S> {
         // Fold the replayed tail into the snapshot immediately: replay
         // cost stays bounded across repeated restarts.
         durable.snapshot()?;
-        Ok((durable, meta))
+        Ok(durable)
+    }
+}
+
+impl<S: WireSymbol, I: MetricIndex<S>> Durable<S, I> {
+    /// Initialise a fresh data dir from an in-memory index: write its
+    /// first snapshot and an empty WAL. Fails typed if the index is
+    /// not persistable or the dir cannot be created or written; any
+    /// existing snapshot/WAL is replaced.
+    pub fn create(
+        dir: &Path,
+        metric: (u8, u8),
+        index: I,
+        snapshot_every: u64,
+    ) -> Result<Durable<S, I>, StoreError> {
+        Durable::create_with(dir, metric, index, None, snapshot_every)
     }
 
-    /// The wrapped index.
-    pub fn index(&self) -> &StoredIndex<S> {
-        &self.inner
+    /// [`Durable::create`] plus the planner-decision blob persisted
+    /// with every snapshot (it survives warm restarts via the
+    /// snapshot's PLAN record).
+    pub fn create_with(
+        dir: &Path,
+        metric: (u8, u8),
+        index: I,
+        plan: Option<Vec<u8>>,
+        snapshot_every: u64,
+    ) -> Result<Durable<S, I>, StoreError> {
+        let bytes = encode_snapshot_with(metric, &view_of(&index)?, plan.as_deref());
+        std::fs::create_dir_all(dir).map_err(|e| StoreError::io("create data dir", e))?;
+        let shared = shared_state(dir);
+        write_atomic(&shared.snapshot_path(), &bytes)?;
+        // Replace any stale WAL from a previous incarnation of the dir.
+        let mut wal = Wal::open::<S>(&shared.wal_path())?;
+        wal.truncate::<S>()?;
+        Ok(Durable {
+            inner: index,
+            metric,
+            wal,
+            snapshot_every: snapshot_every.max(1),
+            shared,
+            plan,
+        })
     }
 
     /// Metric identity `(code, flag)` persisted in the snapshot.
@@ -244,18 +229,11 @@ impl<S: WireSymbol> Durable<S> {
         self.plan.as_deref()
     }
 
-    /// Set the planner-decision blob persisted with every snapshot
-    /// from now on (it survives warm restarts via the snapshot's PLAN
-    /// record). Takes effect at the next snapshot.
-    pub fn set_plan(&mut self, plan: Option<Vec<u8>>) {
-        self.plan = plan;
-    }
-
     /// Write a fresh snapshot of the current index and truncate the
     /// WAL. Called automatically by the threshold policy and on drop;
     /// callable directly for explicit checkpoints.
     pub fn snapshot(&mut self) -> Result<(), StoreError> {
-        let bytes = encode_snapshot_with(self.metric, &self.inner.view(), self.plan.as_deref());
+        let bytes = encode_snapshot_with(self.metric, &view_of(&self.inner)?, self.plan.as_deref());
         // Install under the files lock so a concurrently registering
         // replica never pairs the old snapshot with the new WAL.
         let _g = self.shared.files.lock();
@@ -265,15 +243,16 @@ impl<S: WireSymbol> Durable<S> {
 
     /// The durable insert pipeline (see module docs).
     pub fn insert(&mut self, item: Vec<S>, dist: &dyn Distance<S>) -> Result<usize, SearchError> {
-        // Refuse early for immutable backends: nothing may touch disk.
-        if matches!(self.inner, StoredIndex::Laesa(_)) {
-            return Err(SearchError::UnsupportedConfig {
-                reason: "laesa snapshots are immutable; rebuild or use the sharded backend",
-            });
-        }
         let seq = self.inner.len() as u64;
+        // Refuse early for immutable backends: nothing may touch disk.
+        let inner = self
+            .inner
+            .as_insertable()
+            .ok_or(SearchError::UnsupportedConfig {
+                reason: "laesa snapshots are immutable; rebuild or use the sharded backend",
+            })?;
         self.wal.append(seq, &item).map_err(SearchError::from)?;
-        let index = self.inner.insert(item.clone(), dist)?;
+        let index = inner.insert(item.clone(), dist)?;
         debug_assert_eq!(
             index as u64, seq,
             "inserts append at the end of the database"
@@ -311,7 +290,7 @@ impl<S: WireSymbol> Durable<S> {
     }
 }
 
-impl<S: WireSymbol> Drop for Durable<S> {
+impl<S: WireSymbol, I: MetricIndex<S>> Drop for Durable<S, I> {
     fn drop(&mut self) {
         // Fold any WAL tail into a final snapshot so the next boot
         // loads without replay. Best-effort: on failure the WAL is
@@ -322,7 +301,7 @@ impl<S: WireSymbol> Drop for Durable<S> {
     }
 }
 
-impl<S: WireSymbol> MetricIndex<S> for Durable<S> {
+impl<S: WireSymbol, I: MetricIndex<S>> MetricIndex<S> for Durable<S, I> {
     fn len(&self) -> usize {
         self.inner.len()
     }
@@ -356,10 +335,11 @@ impl<S: WireSymbol> MetricIndex<S> for Durable<S> {
     }
 
     fn as_insertable(&mut self) -> Option<&mut dyn InsertableIndex<S>> {
-        match self.inner {
-            // Keep the typed "immutable backend" answer for LAESA.
-            StoredIndex::Laesa(_) => None,
-            _ => Some(self),
+        // Keep the typed "immutable backend" answer for LAESA.
+        if self.inner.as_insertable().is_some() {
+            Some(self)
+        } else {
+            None
         }
     }
 
@@ -384,7 +364,7 @@ impl<S: WireSymbol> MetricIndex<S> for Durable<S> {
     }
 }
 
-impl<S: WireSymbol> InsertableIndex<S> for Durable<S> {
+impl<S: WireSymbol, I: MetricIndex<S>> InsertableIndex<S> for Durable<S, I> {
     fn insert(&mut self, item: Vec<S>, dist: &dyn Distance<S>) -> Result<usize, SearchError> {
         Durable::insert(self, item, dist)
     }

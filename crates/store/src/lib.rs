@@ -45,8 +45,8 @@ pub use durable::{data_dir_initialised, Durable, SNAPSHOT_FILE, WAL_FILE};
 pub use format::{StoreError, SNAP_VERSION, WAL_VERSION};
 pub use snapshot::{
     decode_snapshot, decode_snapshot_plan, encode_snapshot, encode_snapshot_with,
-    read_snapshot_meta, snapshot_has_tombstones, write_atomic, IndexView, SnapshotMeta,
-    StoredIndex,
+    read_snapshot_meta, snapshot_has_tombstones, write_atomic, DecodedSnapshot, IndexView,
+    SnapshotMeta, StoredIndex,
 };
 pub use sync::{decode_items, StoreHub, SyncAccumulator, SyncOutcome, SYNC_CHUNK};
-pub use wal::{Wal, WalOp};
+pub use wal::Wal;

@@ -13,7 +13,8 @@
 use cned_core::metric::Distance;
 use cned_core::Symbol;
 use cned_search::{
-    Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
+    InsertableIndex, Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError,
+    SearchStats,
 };
 use cned_serve::wire::WireSymbol;
 use cned_serve::{ShardConfig, ShardedIndex};
@@ -51,38 +52,15 @@ pub enum StoredIndex<S: Symbol> {
 }
 
 impl<S: Symbol> StoredIndex<S> {
-    /// Borrow as the codec's view type.
-    pub fn view(&self) -> IndexView<'_, S> {
-        match self {
-            StoredIndex::Linear(i) => IndexView::Linear(i),
-            StoredIndex::Laesa(i) => IndexView::Laesa(i),
-            StoredIndex::Sharded(i) => IndexView::Sharded(i),
-        }
-    }
-
-    /// Backend tag for the META record.
-    pub fn backend_tag(&self) -> u8 {
-        match self {
-            StoredIndex::Linear(_) => backend::LINEAR,
-            StoredIndex::Laesa(_) => backend::LAESA,
-            StoredIndex::Sharded(_) => backend::SHARDED,
-        }
-    }
-
     /// Append `item`, returning its global index. LAESA snapshots are
     /// immutable (same contract as the live backend): the insert is a
     /// typed [`SearchError::UnsupportedConfig`].
     pub fn insert(&mut self, item: Vec<S>, dist: &dyn Distance<S>) -> Result<usize, SearchError> {
-        match self {
-            StoredIndex::Linear(i) => {
-                use cned_search::InsertableIndex;
-                i.insert(item, dist)
-            }
-            StoredIndex::Laesa(_) => Err(SearchError::UnsupportedConfig {
+        self.as_insertable()
+            .ok_or(SearchError::UnsupportedConfig {
                 reason: "laesa snapshots are immutable; rebuild or use the sharded backend",
-            }),
-            StoredIndex::Sharded(i) => Ok(i.insert(item, dist)),
-        }
+            })?
+            .insert(item, dist)
     }
 
     fn inner(&self) -> &dyn MetricIndex<S> {
@@ -139,6 +117,14 @@ impl<S: Symbol> MetricIndex<S> for StoredIndex<S> {
 
     fn is_deleted(&self, i: usize) -> bool {
         self.inner().is_deleted(i)
+    }
+
+    fn as_insertable(&mut self) -> Option<&mut dyn InsertableIndex<S>> {
+        match self {
+            StoredIndex::Linear(i) => Some(i),
+            StoredIndex::Laesa(_) => None,
+            StoredIndex::Sharded(i) => Some(i),
+        }
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -31,7 +31,7 @@ use std::sync::{mpsc, Arc};
 use crate::durable::StoreShared;
 use crate::format::{put_u32, put_u64, Reader, StoreError};
 use crate::snapshot::{read_snapshot_meta, snapshot_has_tombstones};
-use crate::wal::{replay_file, WalOp};
+use crate::wal::replay_file;
 
 /// Target size of one sync chunk (bytes). Well under the 16 MiB wire
 /// frame cap, large enough to amortise framing.
@@ -65,11 +65,11 @@ impl<S: WireSymbol> StoreHub<S> {
             // log tail it hasn't applied yet. Deletes ship whole (they
             // are idempotent); inserts the replica already holds are
             // filtered by sequence number.
-            let tail: Vec<WalOp<S>> = wal_entries
+            let tail: Vec<ReplOp<S>> = wal_entries
                 .into_iter()
                 .filter(|op| match op {
-                    WalOp::Insert { seq, .. } => *seq >= have,
-                    WalOp::Delete { .. } => true,
+                    ReplOp::Insert { seq, .. } => *seq >= have,
+                    ReplOp::Delete { .. } => true,
                 })
                 .collect();
             push_item_chunks(&mut chunks, &tail);
@@ -102,14 +102,14 @@ const ITEM_INSERT: u8 = 1;
 /// `SYNC_ITEMS` record op byte: a delete (`[index u64]`).
 const ITEM_DELETE: u8 = 2;
 
-/// Append WAL ops as `SYNC_ITEMS` chunks of at most [`SYNC_CHUNK`]
+/// Append logged ops as `SYNC_ITEMS` chunks of at most [`SYNC_CHUNK`]
 /// bytes (record boundaries respected). Each record is
 /// `[op][seq][count][syms]` for inserts, `[op][index]` for deletes.
-fn push_item_chunks<S: WireSymbol>(chunks: &mut Vec<(u8, Vec<u8>)>, items: &[WalOp<S>]) {
+fn push_item_chunks<S: WireSymbol>(chunks: &mut Vec<(u8, Vec<u8>)>, items: &[ReplOp<S>]) {
     let mut chunk = Vec::new();
     for op in items {
         match op {
-            WalOp::Insert { seq, item } => {
+            ReplOp::Insert { seq, item } => {
                 chunk.push(ITEM_INSERT);
                 put_u64(&mut chunk, *seq);
                 put_u32(&mut chunk, item.len() as u32);
@@ -117,7 +117,7 @@ fn push_item_chunks<S: WireSymbol>(chunks: &mut Vec<(u8, Vec<u8>)>, items: &[Wal
                     sym.put(&mut chunk);
                 }
             }
-            WalOp::Delete { index } => {
+            ReplOp::Delete { index } => {
                 chunk.push(ITEM_DELETE);
                 put_u64(&mut chunk, *index);
             }
@@ -132,7 +132,7 @@ fn push_item_chunks<S: WireSymbol>(chunks: &mut Vec<(u8, Vec<u8>)>, items: &[Wal
 }
 
 /// Decode a `SYNC_ITEMS` chunk back into its op records.
-pub fn decode_items<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<WalOp<S>>, StoreError> {
+pub fn decode_items<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<ReplOp<S>>, StoreError> {
     let mut r = Reader::new(bytes);
     let mut out = Vec::new();
     while r.remaining() > 0 {
@@ -141,12 +141,12 @@ pub fn decode_items<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<WalOp<S>>, StoreE
                 let seq = r.u64()?;
                 let count = r.u32()? as usize;
                 let sym_bytes = r.take(count.saturating_mul(S::WIDTH))?;
-                out.push(WalOp::Insert {
+                out.push(ReplOp::Insert {
                     seq,
                     item: sym_bytes.chunks_exact(S::WIDTH).map(S::get).collect(),
                 });
             }
-            ITEM_DELETE => out.push(WalOp::Delete { index: r.u64()? }),
+            ITEM_DELETE => out.push(ReplOp::Delete { index: r.u64()? }),
             other => {
                 return Err(StoreError::Corrupt {
                     detail: format!("unknown sync item op byte {other}"),
@@ -163,7 +163,7 @@ pub struct SyncOutcome<S: WireSymbol> {
     /// (`None` for a tail-only catch-up).
     pub snapshot: Option<Vec<u8>>,
     /// Log-tail ops to apply after (or instead of) the snapshot.
-    pub items: Vec<WalOp<S>>,
+    pub items: Vec<ReplOp<S>>,
 }
 
 /// Replica-side accumulator for `RESP_SYNC` chunks: feed each chunk in
@@ -172,7 +172,7 @@ pub struct SyncOutcome<S: WireSymbol> {
 pub struct SyncAccumulator<S: WireSymbol> {
     snapshot: Vec<u8>,
     saw_snapshot: bool,
-    items: Vec<WalOp<S>>,
+    items: Vec<ReplOp<S>>,
 }
 
 impl<S: WireSymbol> SyncAccumulator<S> {
@@ -224,12 +224,12 @@ mod tests {
 
     #[test]
     fn item_chunks_roundtrip() {
-        let items: Vec<WalOp<u32>> = (0..100)
+        let items: Vec<ReplOp<u32>> = (0..100)
             .map(|i| {
                 if i % 5 == 4 {
-                    WalOp::Delete { index: i }
+                    ReplOp::Delete { index: i }
                 } else {
-                    WalOp::Insert {
+                    ReplOp::Insert {
                         seq: i,
                         item: vec![i as u32; (i % 7) as usize],
                     }
@@ -252,7 +252,7 @@ mod tests {
         let mut chunks = Vec::new();
         push_item_chunks(
             &mut chunks,
-            &[WalOp::Insert {
+            &[ReplOp::Insert {
                 seq: 4,
                 item: vec![1u32, 2, 3],
             }],

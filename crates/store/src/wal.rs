@@ -8,6 +8,9 @@
 //! never acknowledged — and those appear, if at all, as a torn tail
 //! that replay drops. See the layout notes in [`crate::format`].
 
+use cned_core::metric::Distance;
+use cned_search::{MetricIndex, SearchError};
+use cned_serve::server::ReplOp;
 use cned_serve::wire::WireSymbol;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
@@ -24,23 +27,6 @@ const HEADER_LEN: usize = 10;
 const OP_INSERT: u8 = 1;
 /// WAL v2 entry op byte: an accepted delete (`[index u64]` body).
 const OP_DELETE: u8 = 2;
-
-/// One replayed WAL entry, in commit order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WalOp<S> {
-    /// An accepted insert: the item and its global index (`seq`).
-    Insert {
-        /// The item's global index (== the index count before it).
-        seq: u64,
-        /// The item itself.
-        item: Vec<S>,
-    },
-    /// An accepted delete: the tombstoned item's global index.
-    Delete {
-        /// The tombstoned item's global index.
-        index: u64,
-    },
-}
 
 /// An open WAL file, positioned for appends.
 pub struct Wal {
@@ -166,7 +152,8 @@ pub fn encode_delete_entry(buf: &mut Vec<u8>, index: u64) {
     put_u32(buf, crc);
 }
 
-/// Replay a WAL byte buffer into its committed ops, in commit order.
+/// Replay a WAL byte buffer into its committed ops ([`ReplOp`], the
+/// same write type replicas stream), in commit order.
 ///
 /// Both WAL versions replay: v1 entries are implicit inserts (no op
 /// byte); v2 entries carry an op byte. A tail that ends mid-entry —
@@ -175,7 +162,7 @@ pub fn encode_delete_entry(buf: &mut Vec<u8>, index: u64) {
 /// fsync never completed, so no client was ever told it succeeded. A
 /// *complete* entry with a CRC mismatch is corruption and fails
 /// typed.
-pub fn replay<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<WalOp<S>>, StoreError> {
+pub fn replay<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<ReplOp<S>>, StoreError> {
     let mut r = Reader::new(bytes);
     if r.take(8).map_err(|_| StoreError::Truncated {
         needed: HEADER_LEN,
@@ -235,12 +222,12 @@ pub fn replay<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<WalOp<S>>, StoreError> 
                 let seq = b.u64()?;
                 let count = b.u32()? as usize;
                 let sym_bytes = b.take(count.saturating_mul(S::WIDTH))?;
-                WalOp::Insert {
+                ReplOp::Insert {
                     seq,
                     item: sym_bytes.chunks_exact(S::WIDTH).map(S::get).collect(),
                 }
             }
-            OP_DELETE => WalOp::Delete { index: b.u64()? },
+            OP_DELETE => ReplOp::Delete { index: b.u64()? },
             other => {
                 return Err(StoreError::Corrupt {
                     detail: format!("unknown wal op byte {other}"),
@@ -258,7 +245,7 @@ pub fn replay<S: WireSymbol>(bytes: &[u8]) -> Result<Vec<WalOp<S>>, StoreError> 
 
 /// Read and replay a WAL file from disk. A missing file replays empty
 /// (a fresh data dir has no log yet).
-pub fn replay_file<S: WireSymbol>(path: &Path) -> Result<Vec<WalOp<S>>, StoreError> {
+pub fn replay_file<S: WireSymbol>(path: &Path) -> Result<Vec<ReplOp<S>>, StoreError> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
@@ -269,6 +256,57 @@ pub fn replay_file<S: WireSymbol>(path: &Path) -> Result<Vec<WalOp<S>>, StoreErr
         Err(e) => return Err(StoreError::io("open wal", e)),
     }
     replay::<S>(&bytes)
+}
+
+/// Apply one logged write to `index`: the replay rule shared by WAL
+/// recovery ([`crate::Durable::recover`]) and a replica's catch-up
+/// tail.
+///
+/// An insert whose `seq` is below the index length is already held (a
+/// snapshot written just before a crash, or a tail overlapping the
+/// replica's own state) and is skipped; one above it means a lost
+/// entry and fails. A delete must address an existing slot; replaying
+/// one already applied is a no-op, since deletes are idempotent.
+pub fn apply<S: WireSymbol>(
+    index: &mut dyn MetricIndex<S>,
+    op: ReplOp<S>,
+    dist: &dyn Distance<S>,
+) -> Result<(), StoreError> {
+    match op {
+        ReplOp::Insert { seq, item } => {
+            let len = index.len() as u64;
+            if seq < len {
+                return Ok(());
+            }
+            if seq > len {
+                return Err(StoreError::Corrupt {
+                    detail: format!("sequence gap: log holds {seq}, index holds {len} items"),
+                });
+            }
+            index
+                .as_insertable()
+                .ok_or(SearchError::UnsupportedConfig {
+                    reason: "this backend does not support inserts",
+                })
+                .and_then(|insertable| insertable.insert(item, dist))
+                .map_err(|e| StoreError::Corrupt {
+                    detail: format!("replayed insert failed: {e}"),
+                })?;
+        }
+        ReplOp::Delete { index: target } => {
+            let len = index.len();
+            let slot = usize::try_from(target)
+                .ok()
+                .filter(|&slot| slot < len)
+                .ok_or_else(|| StoreError::Corrupt {
+                    detail: format!("delete index {target} out of range ({len} items)"),
+                })?;
+            index.delete(slot).map_err(|e| StoreError::Corrupt {
+                detail: format!("replayed delete failed: {e}"),
+            })?;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -284,10 +322,10 @@ mod tests {
         bytes
     }
 
-    fn inserts(entries: &[(u64, Vec<u32>)]) -> Vec<WalOp<u32>> {
+    fn inserts(entries: &[(u64, Vec<u32>)]) -> Vec<ReplOp<u32>> {
         entries
             .iter()
-            .map(|(seq, item)| WalOp::Insert {
+            .map(|(seq, item)| ReplOp::Insert {
                 seq: *seq,
                 item: item.clone(),
             })
@@ -314,16 +352,16 @@ mod tests {
         assert_eq!(
             replay::<u32>(&bytes).unwrap(),
             vec![
-                WalOp::Insert {
+                ReplOp::Insert {
                     seq: 0,
                     item: vec![7, 8],
                 },
-                WalOp::Delete { index: 0 },
-                WalOp::Insert {
+                ReplOp::Delete { index: 0 },
+                ReplOp::Insert {
                     seq: 1,
                     item: vec![9],
                 },
-                WalOp::Delete { index: 5 },
+                ReplOp::Delete { index: 5 },
             ]
         );
     }
@@ -347,7 +385,7 @@ mod tests {
         put_u32(&mut bytes, crc);
         assert_eq!(
             replay::<u32>(&bytes).unwrap(),
-            vec![WalOp::Insert {
+            vec![ReplOp::Insert {
                 seq: 9,
                 item: vec![4, 5],
             }]

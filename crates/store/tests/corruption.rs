@@ -7,7 +7,8 @@
 //! trusts nothing it reads.
 
 use cned_search::linear::LinearIndex;
-use cned_store::wal::{replay, Wal, WalOp};
+use cned_serve::server::ReplOp;
+use cned_store::wal::{replay, Wal};
 use cned_store::{
     decode_snapshot, encode_snapshot, read_snapshot_meta, IndexView, StoreError, SNAP_VERSION,
     WAL_VERSION,
@@ -109,11 +110,11 @@ proptest! {
         prop_assert!(replayed.len() <= items.len());
         for (i, op) in replayed.iter().enumerate() {
             match op {
-                WalOp::Insert { seq, item } => {
+                ReplOp::Insert { seq, item } => {
                     prop_assert_eq!(*seq, i as u64);
                     prop_assert_eq!(item, &items[i]);
                 }
-                WalOp::Delete { .. } => prop_assert!(false, "append-only log replayed a delete"),
+                ReplOp::Delete { .. } => prop_assert!(false, "append-only log replayed a delete"),
             }
         }
     }
@@ -134,11 +135,11 @@ proptest! {
             prop_assert!(replayed.len() < items.len());
             for (i, op) in replayed.iter().enumerate() {
                 match op {
-                    WalOp::Insert { seq, item } => {
+                    ReplOp::Insert { seq, item } => {
                         prop_assert_eq!(*seq, i as u64);
                         prop_assert_eq!(item, &items[i]);
                     }
-                    WalOp::Delete { .. } => {
+                    ReplOp::Delete { .. } => {
                         prop_assert!(false, "bit flip surfaced as a delete entry")
                     }
                 }

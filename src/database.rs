@@ -2,12 +2,21 @@
 //!
 //! The paper's machinery has two independent axes: *which distance*
 //! (`d_E`, `d_C`, `d_YB`, …) and *which search structure* (linear
-//! scan, LAESA, AESA, vp-tree, sharded LAESA). The builder crosses
-//! them declaratively and hands back a [`Database`] that **owns** the
-//! metric — ending the "pass the same `&dist` to every call or get
-//! garbage" footgun of the raw index types, whose pivot tables and
-//! matrices silently produce wrong answers when queried through a
-//! different distance than they were built with.
+//! scan, LAESA, vp-tree, sharded LAESA, or [`Backend::Auto`] to let
+//! the planner choose). The builder crosses them declaratively and
+//! hands back a [`Database`] that **owns** the metric — ending the
+//! "pass the same `&dist` to every call or get garbage" footgun of the
+//! raw index types, whose pivot tables silently produce wrong answers
+//! when queried through a different distance than they were built
+//! with.
+//!
+//! A [`Database`] is its index plus one record of what was decided:
+//! the metric and its persistable name, the plan, the resolved build
+//! shape (backend, pivots, shard split and compaction threshold) and
+//! the cache handle. [`Database::load`] and data-dir recovery fill the
+//! same record from the snapshot, the session, server and replica
+//! handles hold it while the index is away serving, and
+//! [`Database::vacuum`] rebuilds from it.
 //!
 //! ```
 //! use cned::{Backend, Database, Metric};
@@ -36,13 +45,10 @@ use cned_core::normalized::marzal_vidal::MarzalVidal;
 use cned_core::normalized::simple::{MaxNorm, MinNorm, SumNorm};
 use cned_core::normalized::yujian_bo::YujianBo;
 use cned_core::Symbol;
-use cned_plan::{
-    CacheConfig, CacheHandle, CacheStats, CachedIndex, Plan, PlanConfig, PlannedBackend,
-};
+use cned_plan::{CacheConfig, CacheHandle, CacheStats, CachedIndex, Plan, PlannedBackend};
 use cned_search::pivots::select_pivots_max_sum;
 use cned_search::{
-    Aesa, Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
-    VpTree,
+    Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats, VpTree,
 };
 use cned_serve::server::ReplicaHub;
 use cned_serve::wire::{self, ReplicaFrame, WireSymbol};
@@ -51,9 +57,11 @@ use cned_serve::{
     SessionHandle, ShardConfig, ShardedIndex, Ticket,
 };
 use cned_store::{
-    data_dir_initialised, decode_snapshot, decode_snapshot_plan, encode_snapshot_with,
-    read_snapshot_meta, write_atomic, Durable, IndexView, SNAPSHOT_FILE, WAL_FILE,
+    data_dir_initialised, decode_snapshot_plan, encode_snapshot_with, write_atomic,
+    DecodedSnapshot, Durable, IndexView, SnapshotMeta, StoreError, StoredIndex, SNAPSHOT_FILE,
+    WAL_FILE,
 };
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -155,9 +163,6 @@ pub enum Backend {
         /// Number of base prototypes (pivots).
         pivots: usize,
     },
-    /// AESA: the full pairwise matrix — fewest query computations,
-    /// quadratic preprocessing.
-    Aesa,
     /// A vantage-point tree.
     VpTree,
     /// Measure, then choose: a seeded distance sample over the corpus
@@ -169,35 +174,24 @@ pub enum Backend {
     /// because triangle-inequality pruning would be inadmissible. The
     /// decision is recorded as a [`Plan`] ([`Database::plan`]) and
     /// persisted in snapshots, so a warm restart reports the same
-    /// choice it serves. Tune the sampling with
-    /// [`DatabaseBuilder::plan_config`].
+    /// choice it serves. Sampling uses the default
+    /// [`cned_plan::PlanConfig`].
     Auto,
 }
 
-/// Constructor closure that wraps an index with a [`CachedIndex`].
-///
-/// Captured at the [`DatabaseBuilder::cache`] call site — the only
-/// place `S: Hash` is provable — so `build()`, `vacuum()` and the
-/// durable serving paths stay generic over plain [`Symbol`].
-type CacheWrap<S> = Arc<
-    dyn Fn(Box<dyn MetricIndex<S>>, CacheConfig) -> (Box<dyn MetricIndex<S>>, CacheHandle)
-        + Send
-        + Sync,
->;
-
 /// Builder for [`Database`]; see the module docs for the flow.
-pub struct DatabaseBuilder<S: Symbol + 'static> {
+pub struct DatabaseBuilder<S: Symbol + Hash + 'static> {
     items: Vec<Vec<S>>,
     metric: Arc<dyn Distance<S>>,
     metric_tag: Option<Metric>,
     backend: Backend,
-    shards: usize,
-    compact_threshold: usize,
-    plan_config: PlanConfig,
-    cache: Option<(CacheConfig, CacheWrap<S>)>,
+    /// Shard count (`<= 1`: a single index) and compaction threshold;
+    /// the pivot count comes from the backend at build time.
+    shards: ShardConfig,
+    cache: bool,
 }
 
-impl<S: Symbol + 'static> DatabaseBuilder<S> {
+impl<S: Symbol + Hash + 'static> DatabaseBuilder<S> {
     /// Select a named paper metric (default: [`Metric::Levenshtein`]).
     pub fn metric(mut self, metric: Metric) -> DatabaseBuilder<S> {
         self.metric = metric.build();
@@ -231,51 +225,27 @@ impl<S: Symbol + 'static> DatabaseBuilder<S> {
     /// [`DatabaseBuilder::build`] time. `shards <= 1` keeps a single
     /// index.
     pub fn shards(mut self, shards: usize) -> DatabaseBuilder<S> {
-        self.shards = shards;
+        self.shards.shards = shards;
         self
     }
 
     /// Delta-shard size that triggers compaction in the sharded
     /// backend (default: the `cned-serve` default).
     pub fn compact_threshold(mut self, threshold: usize) -> DatabaseBuilder<S> {
-        self.compact_threshold = threshold;
-        self
-    }
-
-    /// Tuning knobs for [`Backend::Auto`] planning (sample size, pivot
-    /// ladder ceiling, shard target, seed). No effect on explicit
-    /// backends.
-    pub fn plan_config(mut self, config: PlanConfig) -> DatabaseBuilder<S> {
-        self.plan_config = config;
+        self.shards.compact_threshold = threshold;
         self
     }
 
     /// Put an exact hot-query result cache in front of the index, with
-    /// the default [`CacheConfig`] — see [`cned_plan::cache`] for the
-    /// semantics. Answers (statistics included) stay bit-identical;
-    /// repeated queries replay from the cache and near-duplicate
-    /// queries get an admissible radius seed. The cache follows the
-    /// database into sessions and served deployments, and every
-    /// insert/delete barrier flushes it, so a stale answer is never
-    /// served. Inspect with [`Database::cache_stats`].
-    pub fn cache(self) -> DatabaseBuilder<S>
-    where
-        S: std::hash::Hash,
-    {
-        self.cache_with(CacheConfig::default())
-    }
-
-    /// [`DatabaseBuilder::cache`] with explicit knobs.
-    pub fn cache_with(mut self, config: CacheConfig) -> DatabaseBuilder<S>
-    where
-        S: std::hash::Hash,
-    {
-        let wrap: CacheWrap<S> = Arc::new(|index, cfg| {
-            let cached = CachedIndex::new(index, cfg);
-            let handle = cached.handle();
-            (Box::new(cached) as Box<dyn MetricIndex<S>>, handle)
-        });
-        self.cache = Some((config, wrap));
+    /// the default [`cned_plan::CacheConfig`] — see [`cned_plan::cache`]
+    /// for the semantics. Answers (statistics included) stay
+    /// bit-identical; repeated queries replay from the cache and
+    /// near-duplicate queries get an admissible radius seed. The cache
+    /// follows the database into sessions and served deployments, and
+    /// every insert/delete barrier flushes it, so a stale answer is
+    /// never served. Inspect with [`Database::cache_stats`].
+    pub fn cache(mut self) -> DatabaseBuilder<S> {
+        self.cache = true;
         self
     }
 
@@ -286,36 +256,30 @@ impl<S: Symbol + 'static> DatabaseBuilder<S> {
             metric,
             metric_tag,
             backend,
-            shards,
-            compact_threshold,
-            plan_config,
+            mut shards,
             cache,
         } = self;
-        let (backend, shards, plan) = match backend {
+        let (backend, plan) = match backend {
             Backend::Auto => {
-                let plan = cned_plan::plan(&items, &*metric, &plan_config);
+                let plan = cned_plan::plan(&items, &*metric, &cned_plan::PlanConfig::default());
                 let resolved = match plan.backend {
                     PlannedBackend::Linear => Backend::Linear,
                     PlannedBackend::Laesa { pivots } => Backend::Laesa { pivots },
                     PlannedBackend::VpTree => Backend::VpTree,
                 };
-                (resolved, plan.shards.max(1), Some(plan))
+                shards.shards = plan.shards.max(1);
+                (resolved, Some(plan))
             }
-            explicit => (explicit, shards, None),
+            explicit => (explicit, None),
         };
-        let index: Box<dyn MetricIndex<S>> = if shards > 1 {
+        let index: Box<dyn MetricIndex<S>> = if shards.shards > 1 {
             let Backend::Laesa { pivots } = backend else {
                 return Err(SearchError::UnsupportedConfig {
                     reason: "sharding is only available for the LAESA backend",
                 });
             };
-            let config = ShardConfig {
-                shards,
-                pivots_per_shard: pivots,
-                compact_threshold,
-                ..ShardConfig::default()
-            };
-            Box::new(ShardedIndex::try_build(items, config, &*metric)?)
+            shards.pivots_per_shard = pivots;
+            Box::new(ShardedIndex::try_build(items, shards, &*metric)?)
         } else {
             match backend {
                 Backend::Linear => Box::new(LinearIndex::new(items)),
@@ -323,26 +287,108 @@ impl<S: Symbol + 'static> DatabaseBuilder<S> {
                     let selected = select_pivots_max_sum(&items, pivots, 0, &*metric);
                     Box::new(Laesa::try_build(items, selected, &*metric)?)
                 }
-                Backend::Aesa => Box::new(Aesa::build(items, &*metric)),
                 Backend::VpTree => Box::new(VpTree::build(items, &*metric)),
                 Backend::Auto => unreachable!("Auto resolved to a concrete backend above"),
             }
         };
-        let (index, cache_wrap, cache) = match cache {
-            Some((config, wrap)) => {
-                let (wrapped, handle) = wrap(index, config.clone());
-                (wrapped, Some((config, wrap)), Some(handle))
-            }
-            None => (index, None, None),
-        };
+        let (index, cache) = with_cache(index, cache);
         Ok(Database {
-            metric,
-            metric_tag,
             index,
-            plan,
-            plan_config,
-            cache_wrap,
-            cache,
+            record: Record {
+                metric,
+                metric_tag,
+                plan,
+                backend,
+                shards,
+                cache,
+            },
+        })
+    }
+}
+
+/// The shard record of a single, unsharded index: the `cned-serve`
+/// defaults with a shard count of one.
+fn unsharded() -> ShardConfig {
+    ShardConfig {
+        shards: 1,
+        ..ShardConfig::default()
+    }
+}
+
+/// Put the hot-query cache in front of `index` when `on`, returning
+/// the served index and the cache's counter handle.
+fn with_cache<S: Symbol + Hash + 'static>(
+    index: Box<dyn MetricIndex<S>>,
+    on: bool,
+) -> (Box<dyn MetricIndex<S>>, Option<CacheHandle>) {
+    if !on {
+        return (index, None);
+    }
+    let cached = CachedIndex::new(index, CacheConfig::default());
+    let handle = cached.handle();
+    (Box::new(cached), Some(handle))
+}
+
+/// Everything a [`Database`] decided besides its index: filled by
+/// [`DatabaseBuilder::build`], [`Database::load`] and data-dir
+/// recovery, held by the session, server and replica handles while the
+/// index is away serving, and read back by [`Database::vacuum`].
+struct Record<S: Symbol + Hash + 'static> {
+    metric: Arc<dyn Distance<S>>,
+    /// The named metric behind `metric`, when there is one — the
+    /// persistable identity. `None` for custom metrics.
+    metric_tag: Option<Metric>,
+    /// The planner's decision record, under [`Backend::Auto`] or
+    /// recovered from a snapshot that persisted one.
+    plan: Option<Plan>,
+    /// The concrete backend the index was built as (never `Auto`).
+    backend: Backend,
+    /// The shard split (`shards <= 1`: a single index), compaction
+    /// threshold included.
+    shards: ShardConfig,
+    /// Counter view of the active cache, if one is configured.
+    cache: Option<CacheHandle>,
+}
+
+impl<S: WireSymbol + 'static> Record<S> {
+    /// The record of a decoded snapshot: the metric its codes name,
+    /// its plan, and the shape its backend was built with.
+    fn decoded(
+        meta: &SnapshotMeta,
+        index: &StoredIndex<S>,
+        plan: Option<&[u8]>,
+    ) -> Result<Record<S>, SearchError> {
+        let tag = Metric::from_codes(meta.metric_code, meta.metric_flag).ok_or_else(|| {
+            SearchError::Persistence {
+                reason: format!(
+                    "snapshot uses unknown metric code ({}, {})",
+                    meta.metric_code, meta.metric_flag
+                ),
+            }
+        })?;
+        let (backend, shards) = match index {
+            StoredIndex::Linear(_) => (Backend::Linear, unsharded()),
+            StoredIndex::Laesa(laesa) => (
+                Backend::Laesa {
+                    pivots: laesa.pivots().len(),
+                },
+                unsharded(),
+            ),
+            StoredIndex::Sharded(sharded) => {
+                let config = sharded.config();
+                let pivots = config.pivots_per_shard;
+                (Backend::Laesa { pivots }, config)
+            }
+        };
+        Ok(Record {
+            metric: tag.build(),
+            metric_tag: Some(tag),
+            // A plan from a newer build (unknown version) degrades to
+            // "no plan" rather than refusing the whole snapshot.
+            plan: plan.and_then(|b| Plan::from_bytes(b).ok()),
+            backend,
+            shards,
+            cache: None,
         })
     }
 }
@@ -350,36 +396,12 @@ impl<S: Symbol + 'static> DatabaseBuilder<S> {
 /// A metric-space database: an index paired with the [`Distance`] it
 /// was built over. All queries go through the owned metric, so index
 /// and metric can never drift apart.
-pub struct Database<S: Symbol + 'static> {
-    metric: Arc<dyn Distance<S>>,
-    /// The named metric behind `metric`, when there is one — the
-    /// persistable identity. `None` for custom metrics.
-    metric_tag: Option<Metric>,
+pub struct Database<S: Symbol + Hash + 'static> {
     index: Box<dyn MetricIndex<S>>,
-    /// The planner's decision record, under [`Backend::Auto`] or
-    /// recovered from a snapshot that persisted one.
-    plan: Option<Plan>,
-    plan_config: PlanConfig,
-    /// Cache config + re-wrap constructor, kept so serving paths and
-    /// vacuum rebuilds can re-apply the cache around a new index.
-    cache_wrap: Option<(CacheConfig, CacheWrap<S>)>,
-    /// Counter view of the active cache, if one is configured.
-    cache: Option<CacheHandle>,
+    record: Record<S>,
 }
 
-/// Everything a [`Database`] carries besides the index — split off so
-/// session/server/replica handles can hold it while the index is away
-/// serving, and reassemble the database on shutdown.
-struct DatabaseParts<S: Symbol + 'static> {
-    metric: Arc<dyn Distance<S>>,
-    metric_tag: Option<Metric>,
-    plan: Option<Plan>,
-    plan_config: PlanConfig,
-    cache_wrap: Option<(CacheConfig, CacheWrap<S>)>,
-    cache: Option<CacheHandle>,
-}
-
-impl<S: Symbol + 'static> Database<S> {
+impl<S: Symbol + Hash + 'static> Database<S> {
     /// Start building a database over `items`. Defaults:
     /// [`Metric::Levenshtein`], [`Backend::Linear`], no sharding, no
     /// cache.
@@ -389,59 +411,14 @@ impl<S: Symbol + 'static> Database<S> {
             metric: Metric::Levenshtein.build(),
             metric_tag: Some(Metric::Levenshtein),
             backend: Backend::Linear,
-            shards: 1,
-            compact_threshold: ShardConfig::default().compact_threshold,
-            plan_config: PlanConfig::default(),
-            cache: None,
-        }
-    }
-
-    fn into_parts(self) -> (DatabaseParts<S>, Box<dyn MetricIndex<S>>) {
-        let Database {
-            metric,
-            metric_tag,
-            index,
-            plan,
-            plan_config,
-            cache_wrap,
-            cache,
-        } = self;
-        (
-            DatabaseParts {
-                metric,
-                metric_tag,
-                plan,
-                plan_config,
-                cache_wrap,
-                cache,
-            },
-            index,
-        )
-    }
-
-    fn from_parts(parts: DatabaseParts<S>, index: Box<dyn MetricIndex<S>>) -> Database<S> {
-        let DatabaseParts {
-            metric,
-            metric_tag,
-            plan,
-            plan_config,
-            cache_wrap,
-            cache,
-        } = parts;
-        Database {
-            metric,
-            metric_tag,
-            index,
-            plan,
-            plan_config,
-            cache_wrap,
-            cache,
+            shards: unsharded(),
+            cache: false,
         }
     }
 
     /// The owned metric.
     pub fn metric(&self) -> &dyn Distance<S> {
-        &*self.metric
+        &*self.record.metric
     }
 
     /// The underlying index as a trait object — e.g. to hand to a
@@ -471,21 +448,19 @@ impl<S: Symbol + 'static> Database<S> {
     /// counterpart of submitting [`Request::Insert`] to a session —
     /// and, like it, a barrier that flushes any configured cache.
     pub fn insert(&mut self, item: Vec<S>) -> Result<usize, SearchError> {
-        let metric = Arc::clone(&self.metric);
         self.index
             .as_insertable()
             .ok_or(SearchError::UnsupportedConfig {
                 reason: "this backend does not support inserts",
             })?
-            .insert(item, &*metric)
+            .insert(item, &*self.record.metric)
     }
 
     /// Tombstone item `i`: it stops appearing in any query answer but
     /// keeps its slot, so surviving indices never shift. Returns
-    /// whether the item was live (`false` for an index already
-    /// deleted); an out-of-range index is a typed error. Requires a
-    /// backend with delete support ([`Backend::Linear`],
-    /// [`Backend::Laesa`], or a sharded build).
+    /// whether the item was live: `false` for an index already deleted
+    /// or out of range, since deletes are idempotent. Every facade
+    /// backend supports deletes.
     pub fn delete(&mut self, index: usize) -> Result<bool, SearchError> {
         self.index.delete(index)
     }
@@ -507,42 +482,42 @@ impl<S: Symbol + 'static> Database<S> {
     /// one); `None` for explicit backends. [`Plan::report`] renders it
     /// for humans.
     pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
+        self.record.plan.as_ref()
     }
 
     /// Hot-query cache counters, when a cache is configured
     /// ([`DatabaseBuilder::cache`]); `None` otherwise.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(CacheHandle::stats)
+        self.record.cache.as_ref().map(CacheHandle::stats)
     }
 
-    /// Physically drop tombstoned items: rebuild the same kind of
-    /// index (metric, backend shape, shard split, cache) over the
-    /// surviving items only. Survivors are **renumbered** to
+    /// Physically drop tombstoned items: rebuild the recorded shape
+    /// (metric, backend, shard split and compaction threshold, cache)
+    /// over the surviving items only. Survivors are **renumbered** to
     /// `0..live` in their original order — the one operation that
     /// invalidates previously returned result indices, which is why it
     /// is explicit. Afterwards, answers are bit-identical to a fresh
     /// build over the surviving corpus. A database built with
     /// [`Backend::Auto`] re-plans for the surviving corpus.
     pub fn vacuum(self) -> Result<Database<S>, SearchError> {
-        let shape = if self.plan.is_some() {
-            (Backend::Auto, 1)
-        } else {
-            backend_shape(&*self.index)?
-        };
-        let survivors: Vec<Vec<S>> = (0..self.index.len())
-            .filter(|&i| !self.index.is_deleted(i))
-            .filter_map(|i| self.index.item(i).map(<[S]>::to_vec))
+        let Database { index, record } = self;
+        let survivors: Vec<Vec<S>> = (0..index.len())
+            .filter(|&i| !index.is_deleted(i))
+            .filter_map(|i| index.item(i).map(<[S]>::to_vec))
             .collect();
-        let (parts, _) = self.into_parts();
-        let mut builder = Database::builder(survivors)
-            .backend(shape.0)
-            .shards(shape.1)
-            .plan_config(parts.plan_config);
-        builder.metric = Arc::clone(&parts.metric);
-        builder.metric_tag = parts.metric_tag;
-        builder.cache = parts.cache_wrap;
-        builder.build()
+        drop(index);
+        DatabaseBuilder {
+            items: survivors,
+            metric: record.metric,
+            metric_tag: record.metric_tag,
+            backend: match record.plan {
+                Some(_) => Backend::Auto,
+                None => record.backend,
+            },
+            shards: record.shards,
+            cache: record.cache.is_some(),
+        }
+        .build()
     }
 
     /// Nearest neighbour of `query`.
@@ -551,13 +526,13 @@ impl<S: Symbol + 'static> Database<S> {
     }
 
     /// Nearest neighbour with explicit [`QueryOptions`] (radius seed,
-    /// pivot budget, stats sink, …).
+    /// pivot budget).
     pub fn nn_with(
         &self,
         query: &[S],
         opts: &QueryOptions,
     ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        self.index.nn(query, &*self.metric, opts)
+        self.index.nn(query, self.metric(), opts)
     }
 
     /// The `k` nearest neighbours of `query`, canonically ordered.
@@ -571,7 +546,7 @@ impl<S: Symbol + 'static> Database<S> {
         query: &[S],
         opts: &QueryOptions,
     ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.index.knn(query, &*self.metric, opts)
+        self.index.knn(query, self.metric(), opts)
     }
 
     /// Every item within `radius` (inclusive) of `query`, canonically
@@ -590,7 +565,7 @@ impl<S: Symbol + 'static> Database<S> {
         query: &[S],
         opts: &QueryOptions,
     ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.index.range(query, &*self.metric, opts)
+        self.index.range(query, self.metric(), opts)
     }
 
     /// Nearest neighbour for a batch of queries, parallelised across
@@ -600,7 +575,7 @@ impl<S: Symbol + 'static> Database<S> {
         queries: &[Vec<S>],
     ) -> Result<Vec<(Option<Neighbour>, SearchStats)>, SearchError> {
         self.index
-            .nn_batch(queries, &*self.metric, &QueryOptions::new())
+            .nn_batch(queries, self.metric(), &QueryOptions::new())
     }
 
     /// k-NN for a batch of queries, parallelised across queries.
@@ -610,7 +585,7 @@ impl<S: Symbol + 'static> Database<S> {
         k: usize,
     ) -> Result<Vec<(Vec<Neighbour>, SearchStats)>, SearchError> {
         self.index
-            .knn_batch(queries, &*self.metric, &QueryOptions::new().k(k))
+            .knn_batch(queries, self.metric(), &QueryOptions::new().k(k))
     }
 
     /// Turn the database into a live serving session: non-blocking
@@ -630,47 +605,12 @@ impl<S: Symbol + 'static> Database<S> {
 
     /// [`Database::session`] with explicit knobs (admission depth).
     pub fn session_with(self, config: SessionConfig) -> DatabaseSession<S> {
-        let (parts, index) = self.into_parts();
-        let metric = Arc::clone(&parts.metric);
+        let Database { index, record } = self;
+        let metric = Arc::clone(&record.metric);
         DatabaseSession {
-            parts,
             session: ServeSession::spawn_with(index, metric, config),
+            record,
         }
-    }
-}
-
-/// Recover the concrete backend shape (for a [`Database::vacuum`]
-/// rebuild) from a running index, via the persistence downcast for
-/// the parameterised backends and the backend label for the rest.
-fn backend_shape<S: Symbol + 'static>(
-    index: &dyn MetricIndex<S>,
-) -> Result<(Backend, usize), SearchError> {
-    if let Some(any) = index.as_any() {
-        if let Some(laesa) = any.downcast_ref::<Laesa<S>>() {
-            return Ok((
-                Backend::Laesa {
-                    pivots: laesa.pivots().len(),
-                },
-                1,
-            ));
-        }
-        if let Some(sharded) = any.downcast_ref::<ShardedIndex<S>>() {
-            let config = sharded.config();
-            return Ok((
-                Backend::Laesa {
-                    pivots: config.pivots_per_shard,
-                },
-                config.shards,
-            ));
-        }
-    }
-    match index.backend_name() {
-        "linear" => Ok((Backend::Linear, 1)),
-        "aesa" => Ok((Backend::Aesa, 1)),
-        "vptree" => Ok((Backend::VpTree, 1)),
-        _ => Err(SearchError::UnsupportedConfig {
-            reason: "cannot infer a rebuild shape for this backend",
-        }),
     }
 }
 
@@ -698,7 +638,9 @@ impl<S: WireSymbol + 'static> Database<S> {
     ///   (snapshot + WAL replay) and served, and the database passed
     ///   here is discarded, so a kill → restart loop converges on the
     ///   persisted state rather than the seed;
-    /// * a fresh dir is initialised from this database's contents;
+    /// * a fresh dir is initialised from this database: its index is
+    ///   written as the first snapshot (the bytes [`Database::save`]
+    ///   writes) and then served as is, cache included;
     /// * every accepted insert is WAL-logged and fsynced **before**
     ///   its ticket resolves, and a snapshot is taken every
     ///   [`ServerConfig::snapshot_every`] inserts and at shutdown;
@@ -709,60 +651,40 @@ impl<S: WireSymbol + 'static> Database<S> {
         addr: impl std::net::ToSocketAddrs,
         config: ServerConfig,
     ) -> std::io::Result<ServerHandle<S>> {
+        let Database { index, record } = self;
         let Some(dir) = config.data_dir.clone() else {
-            let (parts, index) = self.into_parts();
-            let metric = Arc::clone(&parts.metric);
+            let metric = Arc::clone(&record.metric);
             return Ok(ServerHandle {
                 server: Server::bind_with(addr, index, metric, config)?,
-                parts,
+                record,
             });
         };
-        let (mut parts, index) = self.into_parts();
-        let durable = if data_dir_initialised(&dir) {
+        let (served, hub, record): (Box<dyn MetricIndex<S>>, _, _) = if data_dir_initialised(&dir) {
             // Disk wins: the persisted state (metric and plan
             // included) is the authority; `self`'s contents are
             // discarded.
-            let (durable, tag, dist) = recover_dir::<S>(&dir, config.snapshot_every)?;
-            parts.metric = dist;
-            parts.metric_tag = Some(tag);
-            parts.plan = durable.plan().and_then(|b| Plan::from_bytes(b).ok());
-            durable
+            let (durable, recovered) = recover_dir::<S>(&dir, config.snapshot_every)?;
+            let hub = durable.hub();
+            let (served, cache) = with_cache(Box::new(durable), record.cache.is_some());
+            (served, hub, Record { cache, ..recovered })
         } else {
-            let tag = parts.metric_tag.ok_or_else(|| {
+            let tag = record.metric_tag.ok_or_else(|| {
                 invalid_input("custom metrics cannot be persisted; build with a named Metric")
             })?;
-            let view = IndexView::of(&*index).ok_or_else(|| {
-                invalid_input("only the linear, laesa and sharded backends can be persisted")
-            })?;
-            let plan_bytes = parts.plan.as_ref().map(Plan::to_bytes);
-            // Encode-then-decode to obtain the owned StoredIndex the
-            // durable wrapper needs from the borrowed trait object.
-            let bytes = encode_snapshot_with(tag.codes(), &view, plan_bytes.as_deref());
-            let (_, owned) = decode_snapshot::<S>(&bytes).map_err(invalid_data)?;
-            let mut durable = Durable::create(&dir, tag.codes(), owned, config.snapshot_every)
-                .map_err(invalid_data)?;
-            if plan_bytes.is_some() {
-                // Re-snapshot so the plan is on disk from the first
-                // restart, not only after the first checkpoint.
-                durable.set_plan(plan_bytes);
-                durable.snapshot().map_err(invalid_data)?;
-            }
-            durable
+            let plan = record.plan.as_ref().map(Plan::to_bytes);
+            let durable =
+                Durable::create_with(&dir, tag.codes(), index, plan, config.snapshot_every)
+                    .map_err(|e| match e {
+                        StoreError::Unsupported { .. } => invalid_input(&e.to_string()),
+                        e => invalid_data(e),
+                    })?;
+            let hub = durable.hub();
+            (Box::new(durable), hub, record)
         };
-        let hub: Arc<dyn ReplicaHub<S>> = Arc::new(durable.hub());
-        let mut served: Box<dyn MetricIndex<S>> = Box::new(durable);
-        // Re-apply the hot-query cache around the durable wrapper; the
-        // one built around the in-memory index was discarded with it.
-        parts.cache = None;
-        if let Some((cache_config, wrap)) = &parts.cache_wrap {
-            let (wrapped, handle) = wrap(served, cache_config.clone());
-            served = wrapped;
-            parts.cache = Some(handle);
-        }
-        let metric = Arc::clone(&parts.metric);
+        let metric = Arc::clone(&record.metric);
         Ok(ServerHandle {
-            server: Server::bind_replicated(addr, served, metric, config, Some(hub))?,
-            parts,
+            server: Server::bind_replicated(addr, served, metric, config, Some(Arc::new(hub)))?,
+            record,
         })
     }
 
@@ -775,13 +697,16 @@ impl<S: WireSymbol + 'static> Database<S> {
     /// ([`Backend::Linear`], [`Backend::Laesa`], or a sharded build);
     /// anything else refuses with a typed error.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SearchError> {
-        let tag = self.metric_tag.ok_or(SearchError::UnsupportedConfig {
-            reason: "custom metrics cannot be persisted; build with a named Metric",
-        })?;
+        let tag = self
+            .record
+            .metric_tag
+            .ok_or(SearchError::UnsupportedConfig {
+                reason: "custom metrics cannot be persisted; build with a named Metric",
+            })?;
         let view = IndexView::of(&*self.index).ok_or(SearchError::UnsupportedConfig {
             reason: "only the linear, laesa and sharded backends can be persisted",
         })?;
-        let plan_bytes = self.plan.as_ref().map(Plan::to_bytes);
+        let plan_bytes = self.record.plan.as_ref().map(Plan::to_bytes);
         let bytes = encode_snapshot_with(tag.codes(), &view, plan_bytes.as_deref());
         write_atomic(path.as_ref(), &bytes).map_err(SearchError::from)
     }
@@ -793,29 +718,15 @@ impl<S: WireSymbol + 'static> Database<S> {
         let bytes = std::fs::read(path.as_ref()).map_err(|e| SearchError::Persistence {
             reason: format!("read snapshot: {e}"),
         })?;
-        let (meta, index, plan_bytes) = decode_snapshot_plan::<S>(&bytes)?;
-        let tag = Metric::from_codes(meta.metric_code, meta.metric_flag).ok_or_else(|| {
-            SearchError::Persistence {
-                reason: format!(
-                    "snapshot uses unknown metric code ({}, {})",
-                    meta.metric_code, meta.metric_flag
-                ),
-            }
-        })?;
+        let (meta, index, plan) = decode_snapshot_plan::<S>(&bytes)?;
+        let record = Record::decoded(&meta, &index, plan.as_deref())?;
         Ok(Database {
-            metric: tag.build(),
-            metric_tag: Some(tag),
             index: match index {
-                cned_store::StoredIndex::Linear(i) => Box::new(i),
-                cned_store::StoredIndex::Laesa(i) => Box::new(i),
-                cned_store::StoredIndex::Sharded(i) => Box::new(i),
+                StoredIndex::Linear(i) => Box::new(i),
+                StoredIndex::Laesa(i) => Box::new(i),
+                StoredIndex::Sharded(i) => Box::new(i),
             },
-            // A plan from a newer build (unknown version) degrades to
-            // "no plan" rather than refusing the whole snapshot.
-            plan: plan_bytes.as_deref().and_then(|b| Plan::from_bytes(b).ok()),
-            plan_config: PlanConfig::default(),
-            cache_wrap: None,
-            cache: None,
+            record,
         })
     }
 
@@ -846,7 +757,7 @@ impl<S: WireSymbol + 'static> Database<S> {
         };
         let have = local
             .as_ref()
-            .map_or(0, |(d, _, _)| MetricIndex::len(d) as u64);
+            .map_or(0, |(d, _)| MetricIndex::len(d) as u64);
 
         // Register with the primary and drain the catch-up payload.
         let mut stream = std::net::TcpStream::connect(primary)?;
@@ -883,17 +794,17 @@ impl<S: WireSymbol + 'static> Database<S> {
         }
         let outcome = acc.finish();
 
-        let (mut durable, tag, dist) = match (outcome.snapshot, local) {
+        let (mut durable, record) = match (outcome.snapshot, local) {
             (Some(snap), local) => {
                 // Full transfer: the primary's snapshot replaces local
                 // state wholesale. Validate before installing, and
                 // drop the stale WAL so recovery cannot replay old
                 // entries on top of the new base.
-                decode_snapshot::<S>(&snap).map_err(invalid_data)?;
+                let decoded = decode_snapshot_plan::<S>(&snap).map_err(invalid_data)?;
                 drop(local);
                 write_atomic(&dir.join(SNAPSHOT_FILE), &snap).map_err(invalid_data)?;
                 let _ = std::fs::remove_file(dir.join(WAL_FILE));
-                recover_dir::<S>(&dir, config.snapshot_every)?
+                resume::<S>(&dir, decoded, config.snapshot_every)?
             }
             (None, Some(local)) => local,
             (None, None) => {
@@ -901,44 +812,19 @@ impl<S: WireSymbol + 'static> Database<S> {
             }
         };
 
-        // Apply the log tail; overlap with local state is expected
-        // (inserts dedupe by sequence number, deletes are idempotent),
-        // a gap is a protocol violation.
+        // Apply the log tail by the WAL replay rule: overlap with
+        // local state is expected, a gap is a protocol violation.
         for op in outcome.items {
-            match op {
-                cned_store::WalOp::Insert { seq, item } => {
-                    let len = MetricIndex::len(&durable) as u64;
-                    if seq < len {
-                        continue;
-                    }
-                    if seq > len {
-                        return Err(invalid_data(format!(
-                            "sync gap: tail starts at {seq}, replica holds {len} items"
-                        )));
-                    }
-                    durable.insert(item, &*dist).map_err(invalid_data)?;
-                }
-                cned_store::WalOp::Delete { index } => {
-                    let index = usize::try_from(index)
-                        .map_err(|_| invalid_data("delete index exceeds the address space"))?;
-                    if index >= MetricIndex::len(&durable) {
-                        return Err(invalid_data(format!(
-                            "sync delete targets index {index} past the replica's items"
-                        )));
-                    }
-                    durable.delete(index).map_err(invalid_data)?;
-                }
-            }
+            cned_store::wal::apply(&mut durable, op, &*record.metric).map_err(invalid_data)?;
         }
 
         let applied = Arc::new(AtomicU64::new(MetricIndex::len(&durable) as u64));
-        let plan = durable.plan().and_then(|b| Plan::from_bytes(b).ok());
         let hub: Arc<dyn ReplicaHub<S>> = Arc::new(durable.hub());
         let index: Box<dyn MetricIndex<S>> = Box::new(durable);
         let server = Server::bind_replicated(
             addr,
             index,
-            Arc::clone(&dist),
+            Arc::clone(&record.metric),
             config.read_only(true),
             Some(hub),
         )?;
@@ -952,14 +838,7 @@ impl<S: WireSymbol + 'static> Database<S> {
                 .expect("spawning the replica applier thread")
         };
         Ok(ReplicaHandle {
-            parts: Some(DatabaseParts {
-                metric: dist,
-                metric_tag: Some(tag),
-                plan,
-                plan_config: PlanConfig::default(),
-                cache_wrap: None,
-                cache: None,
-            }),
+            record: Some(record),
             server: Some(server),
             feed,
             applier: Some(applier),
@@ -968,27 +847,28 @@ impl<S: WireSymbol + 'static> Database<S> {
     }
 }
 
-/// What `recover_dir` hands back: the recovered durable index plus the
-/// metric identity (named tag and built distance) the snapshot recorded.
-type Recovered<S> = (Durable<S>, Metric, Arc<dyn Distance<S>>);
-
-/// Recover a data dir: map the snapshot's metric codes to the named
-/// [`Metric`], then let `cned-store` replay snapshot + WAL.
+/// Recover a data dir from its snapshot file plus WAL.
 fn recover_dir<S: WireSymbol + 'static>(
     dir: &Path,
     snapshot_every: u64,
-) -> std::io::Result<Recovered<S>> {
+) -> std::io::Result<(Durable<S>, Record<S>)> {
     let bytes = std::fs::read(dir.join(SNAPSHOT_FILE))?;
-    let meta = read_snapshot_meta::<S>(&bytes).map_err(invalid_data)?;
-    let tag = Metric::from_codes(meta.metric_code, meta.metric_flag).ok_or_else(|| {
-        invalid_data(format!(
-            "snapshot uses unknown metric code ({}, {})",
-            meta.metric_code, meta.metric_flag
-        ))
-    })?;
-    let dist = tag.build::<S>();
-    let (durable, _) = Durable::recover(dir, &*dist, snapshot_every).map_err(invalid_data)?;
-    Ok((durable, tag, dist))
+    let decoded = decode_snapshot_plan::<S>(&bytes).map_err(invalid_data)?;
+    resume(dir, decoded, snapshot_every)
+}
+
+/// Fill the record from `dir`'s decoded snapshot, then let
+/// `cned-store` replay the WAL on top of it.
+fn resume<S: WireSymbol + 'static>(
+    dir: &Path,
+    decoded: DecodedSnapshot<S>,
+    snapshot_every: u64,
+) -> std::io::Result<(Durable<S>, Record<S>)> {
+    let (meta, index, plan) = &decoded;
+    let record = Record::decoded(meta, index, plan.as_deref()).map_err(invalid_data)?;
+    let durable =
+        Durable::recover(dir, decoded, &*record.metric, snapshot_every).map_err(invalid_data)?;
+    Ok((durable, record))
 }
 
 /// The replica's applier loop: stream `RESP_REPL_INSERT` and
@@ -1076,12 +956,12 @@ fn wire_io(e: cned_serve::WireError) -> std::io::Error {
 
 /// A [`Database`] being served in-process through the session/ticket
 /// API (see [`Database::session`]).
-pub struct DatabaseSession<S: Symbol + 'static> {
-    parts: DatabaseParts<S>,
+pub struct DatabaseSession<S: Symbol + Hash + 'static> {
+    record: Record<S>,
     session: ServeSession<S, Box<dyn MetricIndex<S>>>,
 }
 
-impl<S: Symbol + 'static> DatabaseSession<S> {
+impl<S: Symbol + Hash + 'static> DatabaseSession<S> {
     /// Enqueue a request; the [`Ticket`] yields its tagged response.
     /// Refuses with [`SearchError::Overloaded`] past the admission
     /// depth.
@@ -1097,19 +977,22 @@ impl<S: Symbol + 'static> DatabaseSession<S> {
     /// Hot-query cache counters, when the database was built with a
     /// cache ([`DatabaseBuilder::cache`]).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.parts.cache.as_ref().map(CacheHandle::stats)
+        self.record.cache.as_ref().map(CacheHandle::stats)
     }
 
-    /// Drain in-flight work and reassemble the [`Database`].
+    /// Drain in-flight work and hand the [`Database`] back.
     pub fn shutdown(self) -> Database<S> {
-        let DatabaseSession { parts, session } = self;
-        Database::from_parts(parts, session.shutdown())
+        let DatabaseSession { record, session } = self;
+        Database {
+            index: session.shutdown(),
+            record,
+        }
     }
 }
 
 /// A [`Database`] being served over TCP (see [`Database::serve`]).
 pub struct ServerHandle<S: WireSymbol + 'static> {
-    parts: DatabaseParts<S>,
+    record: Record<S>,
     server: Server<S, Box<dyn MetricIndex<S>>>,
 }
 
@@ -1129,23 +1012,25 @@ impl<S: WireSymbol + 'static> ServerHandle<S> {
     /// one (built with [`Backend::Auto`] or recovered from a snapshot
     /// carrying a plan).
     pub fn plan(&self) -> Option<&Plan> {
-        self.parts.plan.as_ref()
+        self.record.plan.as_ref()
     }
 
     /// Hot-query cache counters for the serving index, when the
     /// database was built with a cache ([`DatabaseBuilder::cache`]).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.parts.cache.as_ref().map(CacheHandle::stats)
+        self.record.cache.as_ref().map(CacheHandle::stats)
     }
 
-    /// Stop accepting, drain connections and in-flight work, and
-    /// reassemble the [`Database`]. When the server was started with a
-    /// data dir, the returned index is still the durable wrapper
-    /// (under the cache, when one is configured): its drop (or the
-    /// next snapshot) persists any WAL tail.
+    /// Stop accepting, drain connections and in-flight work, and hand
+    /// the [`Database`] back. When the server was started with a data
+    /// dir, the returned index is still the durable wrapper: its drop
+    /// (or the next snapshot) persists any WAL tail.
     pub fn shutdown(self) -> Database<S> {
-        let ServerHandle { parts, server } = self;
-        Database::from_parts(parts, server.shutdown())
+        let ServerHandle { record, server } = self;
+        Database {
+            index: server.shutdown(),
+            record,
+        }
     }
 }
 
@@ -1153,7 +1038,7 @@ impl<S: WireSymbol + 'static> ServerHandle<S> {
 /// over a locally durable copy of the primary, plus the applier thread
 /// streaming the primary's inserts into it.
 pub struct ReplicaHandle<S: WireSymbol + 'static> {
-    parts: Option<DatabaseParts<S>>,
+    record: Option<Record<S>>,
     server: Option<Server<S, Box<dyn MetricIndex<S>>>>,
     /// Our clone of the primary connection; shutting it down unblocks
     /// the applier's blocking read.
@@ -1184,9 +1069,12 @@ impl<S: WireSymbol + 'static> ReplicaHandle<S> {
     pub fn shutdown(mut self) -> Database<S> {
         self.stop_feed();
         let server = self.server.take().expect("server present until shutdown");
-        let parts = self.parts.take().expect("parts present until shutdown");
+        let record = self.record.take().expect("record present until shutdown");
         drop(self);
-        Database::from_parts(parts, server.shutdown())
+        Database {
+            index: server.shutdown(),
+            record,
+        }
     }
 
     fn stop_feed(&mut self) {
@@ -1220,7 +1108,6 @@ mod tests {
         let backends = [
             Backend::Linear,
             Backend::Laesa { pivots: 3 },
-            Backend::Aesa,
             Backend::VpTree,
         ];
         let reference = Database::builder(words()).build().unwrap();
@@ -1414,35 +1301,75 @@ mod tests {
 
     #[test]
     fn vacuum_matches_a_fresh_build_of_the_survivors() {
-        let mut db = Database::builder(words())
-            .backend(Backend::Laesa { pivots: 2 })
-            .build()
-            .unwrap();
-        assert!(db.delete(1).unwrap());
-        assert!(db.delete(4).unwrap());
-        assert!(db.is_deleted(1) && !db.is_deleted(0));
+        // Each shape reaches vacuum in memory, through save → load and
+        // through a durable server's shutdown; every route rebuilds the
+        // recorded shape, compaction threshold included.
         let survivors: Vec<Vec<u8>> = words()
             .into_iter()
             .enumerate()
             .filter(|(i, _)| *i != 1 && *i != 4)
             .map(|(_, w)| w)
             .collect();
-        let vacuumed = db.vacuum().unwrap();
-        assert_eq!((vacuumed.len(), vacuumed.deleted()), (4, 0));
-        let fresh = Database::builder(survivors)
-            .backend(Backend::Laesa { pivots: 2 })
-            .build()
-            .unwrap();
-        for q in [&b"casa"[..], b"cesa", b"pasta"] {
-            let (v, sv) = vacuumed.nn(q).unwrap();
-            let (f, sf) = fresh.nn(q).unwrap();
-            let (v, f) = (v.unwrap(), f.unwrap());
-            assert_eq!(
-                (v.index, v.distance.to_bits()),
-                (f.index, f.distance.to_bits())
-            );
-            assert_eq!(sv, sf, "vacuum is indistinguishable from a fresh build");
+        let scratch = std::env::temp_dir().join(format!("cned-vacuum-{}", std::process::id()));
+        let delta = |db: &Database<u8>| {
+            db.index()
+                .as_any()
+                .and_then(|any| any.downcast_ref::<ShardedIndex<u8>>())
+                .map(ShardedIndex::delta_len)
+        };
+        for shards in [1, 2] {
+            let build = |items: Vec<Vec<u8>>| {
+                Database::builder(items)
+                    .backend(Backend::Laesa { pivots: 2 })
+                    .shards(shards)
+                    .compact_threshold(2)
+                    .build()
+                    .unwrap()
+            };
+            for route in ["memory", "load", "durable"] {
+                let mut db = build(words());
+                assert!(db.delete(1).unwrap());
+                assert!(db.delete(4).unwrap());
+                assert!(db.is_deleted(1) && !db.is_deleted(0));
+                let _ = std::fs::remove_dir_all(&scratch);
+                let db = match route {
+                    "memory" => db,
+                    "load" => {
+                        let path = scratch.with_extension("cned");
+                        db.save(&path).unwrap();
+                        let loaded = Database::<u8>::load(&path).unwrap();
+                        let _ = std::fs::remove_file(&path);
+                        loaded
+                    }
+                    _ => db
+                        .serve_with("127.0.0.1:0", ServerConfig::default().data_dir(&scratch))
+                        .unwrap()
+                        .shutdown(),
+                };
+                let mut vacuumed = db.vacuum().unwrap();
+                assert_eq!((vacuumed.len(), vacuumed.deleted()), (4, 0));
+                let mut fresh = build(survivors.clone());
+                if shards > 1 {
+                    for item in [&b"casas"[..], b"pastas"] {
+                        let at = vacuumed.insert(item.to_vec());
+                        assert_eq!(at, fresh.insert(item.to_vec()), "{route}");
+                    }
+                    assert_eq!(delta(&vacuumed), Some(0), "{route}: compacts at 2");
+                }
+                for q in [&b"casa"[..], b"cesa", b"pasta", b"casas"] {
+                    let (v, sv) = vacuumed.nn(q).unwrap();
+                    let (f, sf) = fresh.nn(q).unwrap();
+                    let (v, f) = (v.unwrap(), f.unwrap());
+                    assert_eq!(
+                        (v.index, v.distance.to_bits()),
+                        (f.index, f.distance.to_bits()),
+                        "{route} shards={shards}"
+                    );
+                    assert_eq!(sv, sf, "vacuum is indistinguishable from a fresh build");
+                }
+            }
         }
+        let _ = std::fs::remove_dir_all(&scratch);
     }
 
     #[test]

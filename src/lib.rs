@@ -3,8 +3,9 @@
 //! A reproduction of *"A Contextual Normalised Edit Distance"* (Colin
 //! de la Higuera & Luisa Micó, ICDE 2008), grown into a metric-space
 //! search engine: every distance of the paper, five interchangeable
-//! nearest-neighbour backends behind one object-safe trait, and a
-//! sharded serving layer.
+//! nearest-neighbour backends behind one object-safe trait (the
+//! facade builds four of them; AESA stays in [`search`] as the
+//! all-pivots reference), and a sharded serving layer.
 //!
 //! ## Quickstart: the [`Database`] facade
 //!
@@ -35,16 +36,19 @@
 //! ```
 //!
 //! Add `.shards(4)` to serve the same queries from a sharded LAESA
-//! index with cross-shard bound propagation, or drop to the layer
-//! crates directly:
+//! index with cross-shard bound propagation, `.backend(Backend::Auto)`
+//! to let the planner choose, `.cache()` for the hot-query cache, or
+//! drop to the layer crates directly:
 //!
 //! * [`core`] — every distance in the paper: Levenshtein `d_E`, the
 //!   contextual metric `d_C` (exact Algorithm 1) and its fast heuristic
 //!   `d_C,h`, Marzal–Vidal `d_MV`, Yujian–Bo `d_YB`, and the
 //!   non-metric normalisations `d_max`/`d_min`/`d_sum`.
 //! * [`search`] — the [`search::MetricIndex`] trait and its backends
-//!   (linear scan, LAESA, AESA, vp-tree) with distance-computation
-//!   counting, typed errors and batch pipelines.
+//!   (linear scan, LAESA, vp-tree, and AESA, whose full distance
+//!   matrix makes it the reference the agreement suites check the
+//!   others against) with distance-computation counting, typed errors
+//!   and batch pipelines.
 //! * [`serve`] — serving layer: multi-shard LAESA with cross-shard
 //!   bound propagation and rebalancing, the session/ticket front-end
 //!   ([`Database::session`]), and the TCP wire protocol
@@ -82,7 +86,7 @@ pub use cned_store as store;
 
 mod database;
 
-pub use cned_plan::{CacheConfig, CacheStats, Plan, PlanConfig};
+pub use cned_plan::{CacheStats, Plan};
 pub use cned_search::{
     InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
 };

@@ -59,25 +59,56 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn save_load_is_bit_identical_across_metrics_and_backends() {
+    let shapes = [
+        (Backend::Laesa { pivots: 3 }, 1),
+        (Backend::Laesa { pivots: 3 }, 2),
+        (Backend::Linear, 1),
+        (Backend::Auto, 1),
+    ];
     for metric in [
         Metric::Levenshtein,
         Metric::YujianBo,
         Metric::ContextualHeuristic,
     ] {
-        for shards in [0usize, 2] {
-            let mut builder = Database::builder(words())
-                .metric(metric)
-                .backend(Backend::Laesa { pivots: 3 });
-            if shards > 0 {
-                builder = builder.shards(shards);
+        for (backend, shards) in shapes {
+            for cache in [false, true] {
+                let label = format!("{metric:?} {backend:?} shards={shards} cache={cache}");
+                let builder = Database::builder(words())
+                    .metric(metric)
+                    .backend(backend)
+                    .shards(shards);
+                let db = if cache { builder.cache() } else { builder }
+                    .build()
+                    .unwrap();
+                let path = fresh_dir("save-load").with_extension("snap");
+                db.save(&path).unwrap();
+                let loaded = Database::<u8>::load(&path).unwrap();
+                assert_eq!(loaded.len(), db.len());
+                assert_eq!(ask(&db), ask(&loaded), "{label}");
+
+                // A fresh data dir starts from the very bytes `save`
+                // writes, and a cached server counts its wire hits.
+                let dir = fresh_dir("save-serve");
+                let handle = db
+                    .serve_with("127.0.0.1:0", ServerConfig::default().data_dir(&dir))
+                    .unwrap();
+                assert_eq!(
+                    std::fs::read(dir.join(cned::store::SNAPSHOT_FILE)).unwrap(),
+                    std::fs::read(&path).unwrap(),
+                    "{label}"
+                );
+                assert_eq!(handle.cache_stats().is_some(), cache, "{label}");
+                if cache {
+                    let hits = handle.cache_stats().unwrap().hits;
+                    let mut client: Client<u8> = Client::connect(handle.local_addr()).unwrap();
+                    let first = client.knn(b"tazas", 2).unwrap();
+                    assert_eq!(client.knn(b"tazas", 2).unwrap(), first, "{label}");
+                    assert!(handle.cache_stats().unwrap().hits > hits, "{label}");
+                }
+                drop(handle.shutdown());
+                let _ = std::fs::remove_dir_all(&dir);
+                let _ = std::fs::remove_file(&path);
             }
-            let db = builder.build().unwrap();
-            let path = fresh_dir("save-load").with_extension("snap");
-            db.save(&path).unwrap();
-            let loaded = Database::<u8>::load(&path).unwrap();
-            assert_eq!(loaded.len(), db.len());
-            assert_eq!(ask(&db), ask(&loaded), "{metric:?} shards={shards}");
-            let _ = std::fs::remove_file(&path);
         }
     }
 }

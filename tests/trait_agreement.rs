@@ -10,6 +10,7 @@ use cned::core::contextual::exact::Contextual;
 use cned::core::levenshtein::Levenshtein;
 use cned::core::metric::Distance;
 use cned::core::normalized::yujian_bo::YujianBo;
+use cned::search::parallel::set_thread_override;
 use cned::search::pivots::select_pivots_max_sum;
 use cned::search::{Aesa, Laesa, LinearIndex, VpTree};
 use cned::serve::{ShardConfig, ShardedIndex};
@@ -166,11 +167,13 @@ fn batch_paths_match_single_paths_behind_the_trait() {
     let queries = corpus(10, 7, 3, 471);
     for index in backends(&db, &Levenshtein) {
         let label = index.backend_name();
-        let opts = QueryOptions::new().threads(3);
+        let opts = QueryOptions::new();
+        set_thread_override(Some(3));
         let nn_batch = index.nn_batch(&queries, &Levenshtein, &opts).unwrap();
         let knn_batch = index
-            .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(3).threads(3))
+            .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(3))
             .unwrap();
+        set_thread_override(None);
         for (q, ((b_nn, b_stats), (b_knn, b_knn_stats))) in
             queries.iter().zip(nn_batch.iter().zip(&knn_batch))
         {
